@@ -198,6 +198,15 @@ int main(int argc, char** argv) {
       benchutil::json().add("hamming160.warm_session_ms_socket_loopback_wall", warm_socket);
       benchutil::json().add("hardware_concurrency",
                             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+      // Provenance for readers of the committed JSON: which rows depend on
+      // the recording host's core count.
+      benchutil::json().add(
+          "multicore_note",
+          std::string("the threaded-pipe and socket-loopback rows run the two parties on two "
+                      "threads, so they can overlap garbling with evaluation only when "
+                      "hardware_concurrency (recorded above) is at least 2; below that they "
+                      "time-slice one core and show the transport's cost without its overlap. "
+                      "Each party itself runs serially."));
     }
   }
 
@@ -250,61 +259,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  benchutil::header("Ablation 7: multicore garbling/evaluation (worker pool, Hamming 160)");
-  {
-    // Warm sessions at 1/2/4 worker threads over the threaded pipe: each
-    // party shards its per-cone slices across the pool while the ordered
-    // writer keeps the byte stream — and so the table digest and every comm
-    // counter — identical to the serial schedule (pinned by
-    // tests/parallel_test.cpp; spot-checked again here). Like the transport
-    // overlap above, the speedup is wall-clock only with enough cores: on a
-    // 1-vCPU host the threads>1 rows serialize and the committed JSON flags
-    // them as such — the CI bench artifact (>= 2 vCPUs) is the canonical
-    // scaling number.
-    const programs::Program p = programs::hamming(5);
-    std::vector<std::uint32_t> a(5), b(5);
-    for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
-    for (auto& w : b) w = static_cast<std::uint32_t>(rng.next_u64());
-    const arm::Arm2Gc machine(p.cfg, p.words);
-
-    crypto::Block serial_digest{};
-    double serial_ms = 0.0;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      core::ExecOptions exec;
-      exec.transport = core::TransportKind::ThreadedPipe;
-      exec.threads = threads;
-      arm::Arm2Gc::Session session(machine, exec);
-      arm::Arm2GcResult r = session.run(a, b);  // warm the caches before timing
-      const double ms = best_wall_ms(5, [&] { r = session.run(a, b); });
-      if (threads == 1) {
-        serial_digest = r.stats.table_digest;
-        serial_ms = ms;
-      } else if (r.stats.table_digest != serial_digest) {
-        std::fprintf(stderr, "FATAL: threads=%zu digest diverges from serial\n", threads);
-        return 1;
-      }
-      std::printf("warm session, threads=%zu: %7.2f ms  (x%.2f vs serial; %s)\n", threads, ms,
-                  serial_ms / ms, benchutil::stats_brief(r.stats).c_str());
-      if (benchutil::json().enabled()) {
-        char key[64];
-        std::snprintf(key, sizeof key, "hamming160.warm_session_ms_threads_%zu", threads);
-        benchutil::json().add(key, ms);
-        if (threads == 4) benchutil::json().add("hamming160.threads_4_speedup", serial_ms / ms);
-      }
-    }
-    if (benchutil::json().enabled()) {
-      // Provenance for readers of the committed JSON: which rows are real
-      // wall-clock parallelism on the recording host.
-      benchutil::json().add(
-          "multicore_note",
-          std::string("threads>1 and pipe-overlap rows need that many cores to win on "
-                      "wall-clock; with hardware_concurrency recorded above below that, they "
-                      "serialize locally (showing as per-party CPU reduction only). The CI "
-                      "bench-ablation-json artifact (multi-vCPU runner) is the canonical "
-                      "multi-core record, including the warm Hamming-160 threads=4 speedup."));
-    }
-  }
-  benchutil::header("Ablation 8: precomputed OT (online-path bytes and wall, Hamming 160)");
+  benchutil::header("Ablation 7: precomputed OT (online-path bytes and wall, Hamming 160)");
   {
     // The online/offline OT split across all three backends: ideal and IKNP
     // pay every OT byte on the critical path; the precomputed pool banks

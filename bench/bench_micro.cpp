@@ -11,14 +11,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arm/arm2gc.h"
 #include "builder/circuit_builder.h"
 #include "builder/stdlib.h"
 #include "core/skipgate.h"
-#include "core/workpool.h"
 #include "crypto/aes128.h"
 #include "crypto/prf.h"
 #include "crypto/rng.h"
@@ -143,55 +141,6 @@ static void BM_Eval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Eval)->Arg(0)->Arg(1)->Arg(2);
-
-/// The parallel sessions' hot loop in isolation: independent cone slices
-/// garbled via the stateless garble_at against preassigned tweak ranges on a
-/// WorkPool, the ordered drain folding each slice's tables into a digest in
-/// slice order (the ordered-transport-writer stand-in). arg0 = worker
-/// threads (1 = the serial path). Pure garbling compute — no transport,
-/// planner or OT — so the scaling here upper-bounds the session speedup.
-static void BM_ParallelGarbleCones(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kSlices = 64;
-  constexpr std::size_t kGates = 64;
-  gc::Garbler g(crypto::block_from_u64(31));
-  const netlist::AndCore core = netlist::tt_and_core(netlist::kTtAnd);
-  std::vector<crypto::Block> a0(kSlices), b0(kSlices);
-  for (std::size_t i = 0; i < kSlices; ++i) {
-    a0[i] = g.fresh_label();
-    b0[i] = g.fresh_label();
-  }
-  std::vector<std::vector<gc::GarbledTable>> stage(kSlices,
-                                                   std::vector<gc::GarbledTable>(kGates));
-  std::unique_ptr<core::WorkPool> pool;
-  if (threads > 1) pool = std::make_unique<core::WorkPool>(threads);
-  crypto::Block digest = crypto::block_from_u64(0);
-  for (auto _ : state) {
-    const std::uint64_t tweak0 = g.tweak_cursor();
-    const auto fn = [&](std::size_t si) {
-      crypto::Block a = a0[si];
-      crypto::Block b = b0[si];
-      for (std::size_t k = 0; k < kGates; ++k) {
-        const std::uint64_t tweak = tweak0 + 2 * (si * kGates + k);
-        const crypto::Block w = g.garble_at(a, b, core, tweak, crypto::Block{}, stage[si][k]);
-        b = a;
-        a = w;  // chain within the slice; slices stay independent
-      }
-    };
-    const auto drain = [&](std::size_t si) {
-      for (const auto& t : stage[si]) {
-        for (std::uint8_t r = 0; r < t.count; ++r) digest = digest ^ t.rows[r];
-      }
-    };
-    core::WorkPool::execute(pool.get(), kSlices, nullptr, nullptr, fn, {}, drain);
-    g.advance(kSlices * kGates);
-    benchmark::DoNotOptimize(digest);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSlices * kGates));
-}
-BENCHMARK(BM_ParallelGarbleCones)->Arg(1)->Arg(2)->Arg(4);
 
 /// 128xN bit-transpose throughput (the IKNP column->row pivot).
 /// arg0: 0 = portable kernel, 1 = dispatched (SSE2 when compiled in).

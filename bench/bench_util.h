@@ -105,7 +105,6 @@ inline void json_stats(const std::string& prefix, const arm2gc::core::RunStats& 
   json().add(prefix + ".comm_bytes", s.comm.total());
   json().add(prefix + ".ot_online_bytes", s.ot_online_bytes);
   json().add(prefix + ".ot_offline_ms", static_cast<double>(s.ot_offline_wall_ns) / 1e6);
-  json().add(prefix + ".threads", s.threads);
 }
 
 /// Records service-side counters under `prefix.*` — one shape shared by
@@ -173,16 +172,15 @@ inline std::string improv_ratio(std::uint64_t without, std::uint64_t with) {
 }
 
 /// Uniform per-row protocol-stats suffix: SkipGate elision ratio, plan cache
-/// hit rate, cone-memo hit rate, online/offline OT split and worker-thread
-/// count, straight from RunStats (no per-bench hand computation).
+/// hit rate, cone-memo hit rate and online/offline OT split, straight from
+/// RunStats (no per-bench hand computation).
 inline std::string stats_brief(const arm2gc::core::RunStats& s) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s  otOff %.1fms  thr %llu",
+                "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s  otOff %.1fms",
                 100.0 * s.skip_ratio(), 100.0 * s.plan_cache_hit_ratio(),
                 100.0 * s.cone_hit_ratio(), num(s.ot_online_bytes).c_str(),
-                static_cast<double>(s.ot_offline_wall_ns) / 1e6,
-                static_cast<unsigned long long>(s.threads));
+                static_cast<double>(s.ot_offline_wall_ns) / 1e6);
   return buf;
 }
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/workpool.h"
 #include "obs/trace.h"
 
 namespace arm2gc::core {
@@ -20,7 +19,7 @@ using netlist::WireId;
 
 EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
                                    Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
-                                   gc::IknpReceiverState* warm_ot, WorkPool* pool,
+                                   gc::IknpReceiverState* warm_ot,
                                    gc::RandomOtPoolReceiver* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
@@ -28,7 +27,6 @@ EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Sc
       eval_(scheme),
       tx_(&tx),
       ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      pool_(pool),
       trace_(std::getenv("A2G_TRACE") != nullptr) {
   lb_.resize(nl_.num_wires());
   lb_valid_.assign(nl_.num_wires(), 0);
@@ -165,50 +163,12 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
   const WireId first_gate = nl_.first_gate_wire();
   const bool conventional = mode_ == Mode::Conventional;
 
-  // Prepass: per-slice emitted-table counts, mirroring the garbler's — the
-  // ordered reader pulls exactly each cone's frames off the transport in
-  // slice order, and each cone evaluates against the preassigned tweak
-  // range starting at tweak0 + 2*emit_base_[si].
-  emit_base_.assign(plan.num_slices + 1, 0);
+  gc::GarbledTable table;
+  table.count = static_cast<std::uint8_t>(gc::blocks_per_gate(scheme_));
+
   for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    const PlanSlice& sl = plan.slices[si];
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    std::uint64_t emitted = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      if (sl.action(j) == PlanAct::Garble && sl.emit[j] != 0) ++emitted;
-    }
-    emit_base_[si + 1] = emit_base_[si] + emitted;
-  }
-  const std::uint64_t tweak0 = eval_.tweak_cursor();
-  if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
-
-  // Ordered reader: slice si's table frames are received (and folded into
-  // the digest) in slice order on the calling thread, before si's worker
-  // task is released — the byte stream consumed is identical to serial.
-  const auto feed_slice = [&](std::size_t si) {
-    std::vector<gc::GarbledTable>& stage = stage_[si];
-    stage.assign(static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]),
-                 gc::GarbledTable{});
-    for (gc::GarbledTable& table : stage) {
-      table.count = static_cast<std::uint8_t>(gc::blocks_per_gate(scheme_));
-      tx_->recv(table.rows.data(), table.count);
-      for (std::uint8_t t = 0; t < table.count; ++t) {
-        table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-      }
-    }
-  };
-
-  // Worker body: evaluate one cone slice against its staged tables. Label
-  // reads of upstream slices are ordered by the plan's dependency DAG.
-  const auto eval_slice = [&](std::size_t si) {
-    // Slice tracing lives in the session's task body, not the WorkPool —
-    // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("eval.slice", "slice");
     const PlanSlice& sl = plan.slices[si];
-    const std::vector<gc::GarbledTable>& stage = stage_[si];
-    std::size_t next_table = 0;
-    std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
     // SkipGate slices carry an explicit work list of their live gates;
     // Conventional mode processes every gate. Skipped gates keep stale
     // labels, which is sound: a live gate's inputs are always live-produced
@@ -257,11 +217,14 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
             lb_valid_[w] = 0;
             break;
           }
+          tx_->recv(table.rows.data(), table.count);
+          for (std::uint8_t t = 0; t < table.count; ++t) {
+            table_digest_ = table_digest_.gf_double() ^ table.rows[t];
+          }
           if (!lb_valid_[g.a] || !lb_valid_[g.b]) {
             throw std::logic_error("skipgate: evaluator missing label for a needed gate");
           }
-          lb_[w] = eval_.eval_at(lb_[g.a], lb_[g.b], stage[next_table++], tweak);
-          tweak += 2;
+          lb_[w] = eval_.eval(lb_[g.a], lb_[g.b], table);
           lb_valid_[w] = 1;
           if (trace_) {
             std::fprintf(stderr, "emit cycle=%llu gate=%zu a=%u b=%u tt=%d\n",
@@ -272,10 +235,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
         }
       }
     }
-  };
-  WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, eval_slice,
-                    feed_slice);
-  eval_.advance(emit_base_[plan.num_slices]);
+  }
 }
 
 void EvaluatorSession::send_outputs(const CyclePlan& plan) {

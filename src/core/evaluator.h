@@ -25,21 +25,14 @@
 
 namespace arm2gc::core {
 
-class WorkPool;
-
 class EvaluatorSession {
  public:
   /// `seed` feeds only the OT receiver's randomness (domain-separated); the
   /// evaluator holds no label-generating state. `warm_ot` (optional, IKNP
-  /// only) carries base-OT state across runs of one pairing. `pool`
-  /// (optional) evaluates independent cone slices on its workers once their
-  /// table frames arrive: frames are pulled off the transport in slice
-  /// order on the calling thread (the read mirror of the garbler's ordered
-  /// writer), so the consumed byte stream and received-table digest are
-  /// byte-identical to the serial path.
+  /// only) carries base-OT state across runs of one pairing.
   EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
                    gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
-                   gc::IknpReceiverState* warm_ot = nullptr, WorkPool* pool = nullptr,
+                   gc::IknpReceiverState* warm_ot = nullptr,
                    gc::RandomOtPoolReceiver* warm_ot_pool = nullptr,
                    std::size_t ot_pool = gc::kDefaultOtPoolBatch);
 
@@ -61,7 +54,8 @@ class EvaluatorSession {
   /// ot_begin).
   void begin_cycle();
 
-  /// Runs the evaluator label pass over the plan, consuming garbled tables.
+  /// Runs the evaluator label pass over the plan's slices in order,
+  /// receiving each garbled table just before evaluating it.
   /// `cycle` is used for trace output only (A2G_TRACE).
   void eval_cycle(const CyclePlan& plan, std::uint64_t cycle);
 
@@ -102,13 +96,6 @@ class EvaluatorSession {
   gc::Evaluator eval_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtReceiver> ot_;
-  WorkPool* pool_;
-
-  /// Per-slice staged tables (filled by the ordered transport reader,
-  /// consumed by the slice's worker) and the per-slice emitted-table prefix
-  /// sums that preassign each cone's tweak range.
-  std::vector<std::vector<gc::GarbledTable>> stage_;
-  std::vector<std::uint64_t> emit_base_;
 
   std::vector<crypto::Block> lb_;
   std::vector<std::uint8_t> lb_valid_;

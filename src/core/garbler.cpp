@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/workpool.h"
 #include "obs/trace.h"
 
 namespace arm2gc::core {
@@ -21,14 +20,13 @@ Block maybe(Block b, bool take) { return take ? b : kZeroBlock; }
 
 GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
                                Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
-                               gc::IknpSenderState* warm_ot, WorkPool* pool,
+                               gc::IknpSenderState* warm_ot,
                                gc::RandomOtPoolSender* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
       garbler_(seed, scheme),
       tx_(&tx),
-      ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      pool_(pool) {
+      ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)) {
   la_.resize(nl_.num_wires());
   const_la_[0] = const_la_[1] = Block{};
 }
@@ -126,36 +124,11 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const WireId first_gate = nl_.first_gate_wire();
   const Block r = garbler_.R();
   const bool conventional = mode_ == Mode::Conventional;
-  ++cycle_epoch_;  // advanced on serial and pooled paths alike
+  ++cycle_epoch_;
 
-  // Prepass: per-slice emitted-table counts. Each cone garbles against the
-  // preassigned tweak range starting at tweak0 + 2*emit_base_[si], which is
-  // exactly the range the serial pass would consume — so tables are
-  // bit-identical no matter which worker builds them.
-  emit_base_.assign(plan.num_slices + 1, 0);
   for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    const PlanSlice& sl = plan.slices[si];
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    std::uint64_t emitted = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      if (sl.action(j) == PlanAct::Garble && sl.emit[j] != 0) ++emitted;
-    }
-    emit_base_[si + 1] = emit_base_[si] + emitted;
-  }
-  const std::uint64_t tweak0 = garbler_.tweak_cursor();
-  if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
-
-  // Worker body: garble one cone slice into its staging buffer. Label
-  // reads of upstream slices are ordered by the plan's dependency DAG.
-  const auto garble_slice = [&](std::size_t si) {
-    // Slice tracing lives in the session's task body, not the WorkPool —
-    // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("garble.slice", "slice");
     const PlanSlice& sl = plan.slices[si];
-    std::vector<gc::GarbledTable>& stage = stage_[si];
-    stage.clear();
-    std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
     // SkipGate slices carry an explicit work list of their live gates;
     // Conventional mode processes every gate.
     const std::uint32_t n = conventional ? sl.count : sl.work_count;
@@ -191,29 +164,19 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
         case PlanAct::Garble: {
           if (!sl.emit[j]) break;  // dead garbled gate: never built nor sent
           gc::GarbledTable table;
-          la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt), tweak,
+          la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt),
+                                      garbler_.tweak_cursor(),
                                       garbler_.derived_label(cycle_epoch_, i), table);
-          tweak += 2;
-          stage.push_back(table);
+          garbler_.advance(1);
+          tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
+          for (std::uint8_t t = 0; t < table.count; ++t) {
+            table_digest_ = table_digest_.gf_double() ^ table.rows[t];
+          }
           break;
         }
       }
     }
-  };
-  // Ordered writer: completed cones drain onto the transport in slice-id
-  // order on the calling thread, keeping the framed byte stream — and the
-  // digest folded over it — byte-identical to the serial schedule.
-  const auto drain_slice = [&](std::size_t si) {
-    for (const gc::GarbledTable& table : stage_[si]) {
-      tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
-      for (std::uint8_t t = 0; t < table.count; ++t) {
-        table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-      }
-    }
-  };
-  WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, garble_slice, {},
-                    drain_slice);
-  garbler_.advance(emit_base_[plan.num_slices]);
+  }
 }
 
 netlist::BitVec GarblerSession::decode_outputs(const CyclePlan& plan) {

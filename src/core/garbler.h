@@ -24,21 +24,16 @@
 
 namespace arm2gc::core {
 
-class WorkPool;
-
 class GarblerSession {
  public:
   /// `ot_backend` selects the OT endpoint; `warm_ot` (optional, IKNP only)
   /// carries base-OT state across runs of one pairing, `warm_ot_pool` is its
   /// Precomp counterpart (the random-OT pool, which embeds its own base
   /// state) and `ot_pool` sizes a fresh Precomp pool when no warm one is
-  /// handed in. `pool` (optional) garbles independent cone slices on its
-  /// workers, staging each cone's tables and draining them in slice order
-  /// through a single ordered writer — the framed byte stream, table digests
-  /// and comm accounting are byte-identical to the serial path.
+  /// handed in.
   GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
                  gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
-                 gc::IknpSenderState* warm_ot = nullptr, WorkPool* pool = nullptr,
+                 gc::IknpSenderState* warm_ot = nullptr,
                  gc::RandomOtPoolSender* warm_ot_pool = nullptr,
                  std::size_t ot_pool = gc::kDefaultOtPoolBatch);
 
@@ -50,7 +45,8 @@ class GarblerSession {
   /// Installs root labels for a cycle and binds streamed inputs.
   void begin_cycle(const netlist::BitVec& alice_stream, const netlist::BitVec& pub_stream);
 
-  /// Runs the garbler label pass over the plan, sending garbled tables.
+  /// Runs the garbler label pass over the plan's slices in order, sending
+  /// each garbled table as soon as it is built.
   void garble_cycle(const CyclePlan& plan);
 
   /// Receives Bob's output labels and decodes this cycle's sampled outputs.
@@ -82,21 +78,14 @@ class GarblerSession {
   gc::Garbler garbler_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtSender> ot_;
-  WorkPool* pool_;
 
   std::vector<crypto::Block> la_;
   std::vector<crypto::Block> fixed_la_;
   std::vector<crypto::Block> dff_la_;
   crypto::Block const_la_[2];
   crypto::Block table_digest_{};
-  /// Per-slice staging buffers for pooled garbling (drained in slice order
-  /// by the transport writer) and the per-slice emitted-table prefix sums
-  /// that preassign each cone's tweak range.
-  std::vector<std::vector<gc::GarbledTable>> stage_;
-  std::vector<std::uint64_t> emit_base_;
   /// Per-cycle domain for Classic4 derived output labels (advanced every
-  /// garble_cycle, never reset): labels are functions of (epoch, gate), so
-  /// worker order cannot perturb them.
+  /// garble_cycle, never reset): labels are functions of (epoch, gate).
   std::uint64_t cycle_epoch_ = 0;
 };
 

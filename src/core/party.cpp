@@ -1,10 +1,10 @@
 #include "core/party.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/evaluator.h"
 #include "core/garbler.h"
-#include "core/workpool.h"
 #include "gc/otpre.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,8 +15,7 @@ namespace {
 
 using netlist::BitVec;
 
-PlannerOptions make_planner_opts(const PartyOptions& o, PlanCache* shared, ConeMemo* cones,
-                                 WorkPool* pool) {
+PlannerOptions make_planner_opts(const PartyOptions& o, PlanCache* shared, ConeMemo* cones) {
   PlannerOptions p;
   p.mode = o.mode;
   p.seed = o.protocol_seed;
@@ -28,21 +27,7 @@ PlannerOptions make_planner_opts(const PartyOptions& o, PlanCache* shared, ConeM
   p.cone_memo_budget_bytes = o.cone_memo_budget_bytes;
   p.shared_cone_memo = cones;
   p.cone_target_gates = o.cone_target_gates;
-  p.pool = pool;
   return p;
-}
-
-/// Resolves PartyOptions::threads into the endpoint's worker pool: null when
-/// serial, the WarmState's persistent pool on a warm run, a freshly owned
-/// pool (stored into `owned`) otherwise. Used in member-initializer position
-/// after warm_/owned_pool_ are set.
-WorkPool* resolve_pool(const PartyOptions& opts, WarmState* warm,
-                       std::unique_ptr<WorkPool>& owned) {
-  const std::size_t n = WorkPool::resolve_threads(opts.threads);
-  if (n <= 1) return nullptr;
-  if (warm != nullptr) return warm->pool(n);
-  owned = std::make_unique<WorkPool>(n);
-  return owned.get();
 }
 
 /// Validates the option/warm-state combination for one endpoint and passes
@@ -99,6 +84,12 @@ bool planner_decide_final(const Planner& planner, const PartyOptions& opts, bool
 
 }  // namespace
 
+void require_single_thread(std::size_t threads, const char* option) {
+  if (threads != 1) {
+    throw std::invalid_argument(std::string(option) + " must be 1 (parties run serially)");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WarmState
 // ---------------------------------------------------------------------------
@@ -143,13 +134,6 @@ bool WarmState::ot_refill_pending() const {
   return false;
 }
 
-WorkPool* WarmState::pool(std::size_t threads) {
-  if (pool_ == nullptr || pool_->threads() != threads) {
-    pool_ = std::make_unique<WorkPool>(threads);
-  }
-  return pool_.get();
-}
-
 void WarmState::reset_ot() {
   // Re-derive from the same private seed: both parties resetting after a
   // shared abort re-base consistently (and deterministically for tests); a
@@ -181,12 +165,11 @@ GarblerEndpoint::GarblerEndpoint(const netlist::Netlist& nl, const PartyOptions&
       cycle_count_(opts.fixed_cycles ? *opts.fixed_cycles : opts.max_cycles),
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Garbler)),
       tx_(&tx),
-      pool_(resolve_pool(opts, warm_, owned_pool_)),
       planner_(nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
-                                     warm ? &warm->cone_memo_ : nullptr, pool_)),
+                                     warm ? &warm->cone_memo_ : nullptr)),
       session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.scheme, opts.own_seed(), tx,
                                                 opts.ot_backend,
-                                                warm ? warm->ot_sender_.get() : nullptr, pool_,
+                                                warm ? warm->ot_sender_.get() : nullptr,
                                                 warm ? warm->otpre_sender_.get() : nullptr,
                                                 opts.ot_pool)) {}
 
@@ -254,7 +237,6 @@ RunResult GarblerEndpoint::finish() {
   // sends (e.g. final tables the peer has yet to evaluate) and no own-recv
   // will come along to flush them implicitly.
   tx_->flush();
-  stats_.threads = pool_ != nullptr ? pool_->threads() : 1;
   stats_.skipped_non_xor = stats_.non_xor_slots - stats_.garbled_non_xor;
   stats_.plan_cache_hits = planner_.cache_hits();
   stats_.plan_cache_misses = planner_.cache_misses();
@@ -312,14 +294,12 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       cycle_count_(opts.fixed_cycles ? *opts.fixed_cycles : opts.max_cycles),
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Evaluator)),
       tx_(&tx),
-      pool_(resolve_pool(opts, warm_, owned_pool_)),
       planner_(std::make_unique<Planner>(
           nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
-                                warm ? &warm->cone_memo_ : nullptr, pool_))),
+                                warm ? &warm->cone_memo_ : nullptr))),
       session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
                                                   tx, opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
-                                                  pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
                                                   opts.ot_pool)) {}
 
@@ -333,11 +313,9 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Evaluator)),
       tx_(&tx),
       leader_(&leader),
-      pool_(resolve_pool(opts, warm_, owned_pool_)),
       session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
                                                   tx, opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
-                                                  pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
                                                   opts.ot_pool)) {
   if (&leader.nl_ != &nl) {
@@ -431,7 +409,6 @@ RunResult EvaluatorEndpoint::finish() {
   // The final cycle's output labels are the evaluator's last sends; flush
   // them or a buffering transport leaves the garbler's decode waiting.
   tx_->flush();
-  stats_.threads = pool_ != nullptr ? pool_->threads() : 1;
   stats_.skipped_non_xor = stats_.non_xor_slots - stats_.garbled_non_xor;
   if (planner_ != nullptr) {
     stats_.plan_cache_hits = planner_->cache_hits();

@@ -44,7 +44,6 @@ namespace arm2gc::core {
 
 class GarblerSession;
 class EvaluatorSession;
-class WorkPool;
 
 /// The default public protocol seed (fingerprint streams + in-process
 /// private randomness when no party-specific seed is supplied).
@@ -59,9 +58,6 @@ enum class Role : std::uint8_t { Garbler, Evaluator };
 
 struct RunStats {
   std::uint64_t cycles = 0;
-  /// Worker threads this endpoint ran with (1 = serial; parallelism never
-  /// changes any other field of this struct — pinned by parallel_test).
-  std::uint64_t threads = 1;
   /// Garbled tables actually transferred: the paper's "# of Garbled Non-XOR".
   std::uint64_t garbled_non_xor = 0;
   /// Non-affine gate slots (gate x cycle) that were *not* garbled.
@@ -182,17 +178,17 @@ struct PartyOptions {
   /// refill schedule is derived deterministically from it, so it must match
   /// the peer; ignored by the other backends.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
-  /// Worker threads for garbling/evaluation and the planner's per-cone
-  /// classification (0 = one per hardware thread). Purely local execution
-  /// tuning: the framed byte stream, table digests, comm accounting and
-  /// every RunStats counter are identical at any thread count, so the two
-  /// parties need not agree on it.
-  std::size_t threads = 1;
 
   [[nodiscard]] crypto::Block own_seed() const {
     return private_seed.value_or(protocol_seed);
   }
 };
+
+/// Each party runs serially. The legacy thread-count options that remain
+/// (ExecOptions::threads, serve::ServiceOptions::exec_threads,
+/// serve::ClientOptions::threads) must be 1: any other value throws
+/// std::invalid_argument naming `option`.
+void require_single_thread(std::size_t threads, const char* option);
 
 /// Role-scoped cross-run state: the plan cache, the cone memo and (under the
 /// IKNP backend) this role's half of the warm OT-extension state. One
@@ -247,12 +243,6 @@ class WarmState {
   /// abort; callable directly to force a re-base.
   void reset_ot();
 
-  /// Lazily built worker pool shared by every run of this pairing (workers
-  /// park between runs, so keeping it here saves the per-run thread spawn).
-  /// Rebuilt if a run asks for a different thread count. Never call with
-  /// threads == 0 — resolve via WorkPool::resolve_threads first.
-  [[nodiscard]] WorkPool* pool(std::size_t threads);
-
  private:
   friend class GarblerEndpoint;
   friend class EvaluatorEndpoint;
@@ -265,7 +255,6 @@ class WarmState {
   std::unique_ptr<gc::IknpReceiverState> ot_receiver_;    ///< Evaluator, Iknp backend
   std::unique_ptr<gc::RandomOtPoolSender> otpre_sender_;  ///< Garbler, Precomp backend
   std::unique_ptr<gc::RandomOtPoolReceiver> otpre_receiver_;  ///< Evaluator, Precomp
-  std::unique_ptr<WorkPool> pool_;                            ///< built by pool()
 };
 
 // The two endpoints share one stepwise schedule; the hook split exists so
@@ -340,11 +329,6 @@ class GarblerEndpoint {
   std::uint64_t cycle_count_;
   WarmState* warm_;
   gc::Transport* tx_;
-  // Declared (and therefore initialized) before planner_/session_, which
-  // borrow the raw pointer. Warm runs share the WarmState's pool; a cold
-  // multi-thread run owns one; serial runs keep both null.
-  std::unique_ptr<WorkPool> owned_pool_;
-  WorkPool* pool_;
   Planner planner_;
   std::unique_ptr<GarblerSession> session_;
   const StreamProvider* streams_ = nullptr;
@@ -410,8 +394,6 @@ class EvaluatorEndpoint {
   WarmState* warm_;
   gc::Transport* tx_;
   const GarblerEndpoint* leader_ = nullptr;  ///< plan-following mode when set
-  std::unique_ptr<WorkPool> owned_pool_;     ///< see GarblerEndpoint
-  WorkPool* pool_;
   std::unique_ptr<Planner> planner_;         ///< null in plan-following mode
   std::unique_ptr<EvaluatorSession> session_;
   const StreamProvider* streams_ = nullptr;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
-
-#include "core/workpool.h"
 
 namespace arm2gc::core {
 
@@ -372,22 +369,6 @@ void ConeMemo::ensure_sized(std::uint64_t layout_key, const PlanLayout& layout) 
                                       std::size_t{1} << 18);
 }
 
-ConeMemo::Entry* ConeMemo::find(std::uint32_t segment, std::uint64_t hash,
-                                const std::vector<std::uint64_t>& key, std::size_t* after) {
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return nullptr;
-  for (std::size_t k = *after; k < it->second.size(); ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      *after = k + 1;
-      lru_.splice(lru_.begin(), lru_, li);
-      return &*li;
-    }
-  }
-  *after = it->second.size();
-  return nullptr;
-}
-
 const ConeMemo::Entry* ConeMemo::peek(std::uint32_t segment, std::uint64_t hash,
                                       const std::vector<std::uint64_t>& key,
                                       std::size_t* after) const {
@@ -410,7 +391,7 @@ void ConeMemo::touch_candidates(std::uint32_t segment, std::uint64_t hash,
   const auto it = map_.find(hash);
   if (it == map_.end()) return;
   // Splicing a list node moves it without invalidating iterators, so the
-  // bucket vector replays exactly the candidate sequence peek() walked;
+  // bucket vector yields exactly the candidate sequence peek() walked;
   // candidates evicted meanwhile (by this cycle's earlier inserts) are no
   // longer in the bucket and are skipped.
   std::size_t touched = 0;
@@ -533,28 +514,7 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
   }
   slices_.reserve(layout_.segments.size());
-
-  // Flatten the per-segment dependency lists into the CSR that schedules
-  // cone-parallel work (and rides along in every CyclePlan).
-  const std::size_t nseg = layout_.segments.size();
-  slice_dep_offsets_.assign(nseg + 1, 0);
-  for (std::size_t si = 0; si < nseg; ++si) {
-    slice_dep_offsets_[si + 1] =
-        slice_dep_offsets_[si] + static_cast<std::uint32_t>(layout_.segments[si].deps.size());
-  }
-  slice_dep_edges_.reserve(slice_dep_offsets_[nseg]);
-  for (const PlanSegment& s : layout_.segments) {
-    slice_dep_edges_.insert(slice_dep_edges_.end(), s.deps.begin(), s.deps.end());
-  }
-  seg_touch_.resize(nseg);
-  seg_ok_.assign(nseg, 1);
-  if (memo_ != nullptr) {
-    seg_keys_.resize(nseg);
-    seg_hash_.assign(nseg, 0);
-    seg_probes_.assign(nseg, 0);
-    seg_adopt_id_.assign(nseg, 0);
-    seg_result_.assign(nseg, 0);
-  }
+  if (memo_ != nullptr) seg_probe_.resize(layout_.segments.size());
 }
 
 Block Planner::fresh_fp() {
@@ -716,8 +676,7 @@ void Planner::build_segment_key(std::size_t si, const PlanSegment& seg,
 void Planner::forward() {
   // Every cycle gets a fresh derived-fingerprint epoch no matter which path
   // serves it (hit, miss, fallback), so category-iv fingerprints are pure
-  // functions of (epoch, gate) — identical across planner variants and
-  // worker interleavings.
+  // functions of (epoch, gate) — identical across planner variants.
   ++fp_epoch_;
   // The root signature doubles as the cone dirty sweep's change detector
   // and the segment keys' root words, so it is built whenever either reuse
@@ -728,7 +687,7 @@ void Planner::forward() {
     const std::uint64_t h = fnv1a64(sig_);
     if (Entry* e = cache_->find(h, sig_)) {
       cur_bits_ = e->wire_bits.data();
-      if (verify_entry(*e)) {
+      if (verify_touch(*e, e->touch.data(), e->touch.size())) {
         ++cache_hits_;
         cur_ = e;
         return;
@@ -768,30 +727,20 @@ void Planner::build_plan(Entry& e) {
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
-  const std::uint32_t* dep_off = slice_dep_offsets_.data();
-  const std::uint32_t* dep_edg = slice_dep_edges_.data();
-
   if (memo_ == nullptr) {
-    // Cone-parallel classification without memoization: every segment
-    // classifies fresh into its own gate range and touch scratch; operand
-    // reads of upstream slices are ordered by the dependency DAG.
-    WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
-      seg_touch_[si].clear();
-      classify_segment(e, layout_.segments[si], seg_touch_[si]);
-    });
+    // No memoization: every segment classifies fresh, in gate order.
     for (std::size_t si = 0; si < nseg; ++si) {
       e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-      e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
+      classify_segment(e, layout_.segments[si], e.touch);
     }
     e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
     return;
   }
 
-  // Phase A (serial) — dirty-region seeds: every segment reading a root
-  // whose signature word changed against the snapshot. Everything else
-  // starts clean and only becomes dirty if an upstream slice actually
-  // changes (the cascade stops at segments that reclassify to an identical
-  // slice).
+  // Dirty-region seeds: every segment reading a root whose signature word
+  // changed against the snapshot. Everything else starts clean and only
+  // becomes dirty if an upstream slice actually changes (the cascade stops
+  // at segments that reclassify to an identical slice).
   const bool have_prev = prev_ok_;
   std::fill(seg_dirty_.begin(), seg_dirty_.end(), have_prev ? 0 : 1);
   if (have_prev) {
@@ -815,16 +764,15 @@ void Planner::build_plan(Entry& e) {
                        seg.count) != 0;
   };
 
-  // Phase B (cone-parallel) — adopt or classify every segment into its own
-  // gate range and per-segment scratch. A task reads its dependencies'
-  // seg_changed_ flags and slice bytes (written before their completion,
-  // ordered by the DAG), probes the memo read-only (peek), and defers all
-  // LRU motion, counters and inserts to phase C, so the pooled run is
-  // bit-identical to the serial one.
-  WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
+  // Probe phase (ascending): adopt or classify every segment into its own
+  // gate range, appending its touch indices. The memo is only peeked here;
+  // its LRU motion and inserts wait for the commit phase below, so every
+  // segment probes the memo as it stood at the start of the cycle.
+  for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_.segments[si];
-    seg_touch_[si].clear();
-    seg_probes_[si] = 0;
+    SegProbe& pr = seg_probe_[si];
+    e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
+    pr.probes = 0;
     bool dirty = seg_dirty_[si] != 0;
     if (!dirty) {
       for (const std::uint32_t sj : seg.deps) {
@@ -841,77 +789,72 @@ void Planner::build_plan(Entry& e) {
                         prev_pass_src_.data() + seg.first_gate,
                         prev_bits_.data() + first_gate + seg.first_gate,
                         prev_touch_.data() + prev_touch_off_[si],
-                        prev_touch_off_[si + 1] - prev_touch_off_[si], seg_touch_[si])) {
+                        prev_touch_off_[si + 1] - prev_touch_off_[si], e.touch)) {
         seg_changed_[si] = 0;
-        seg_result_[si] = kSegCleanAdopt;
-        return;
+        pr.result = SegResult::CleanAdopt;
+        continue;
       }
     }
 
     // Dirty cone (or snapshot drift): consult the memo. Key-equal candidates
     // can still fail verification (the key cannot see XOR-linear fingerprint
     // structure), so walk them until one verifies.
-    build_segment_key(si, seg, seg_keys_[si]);
-    const std::uint64_t h = fnv1a64_u64(seg_keys_[si]);
-    seg_hash_[si] = h;
+    build_segment_key(si, seg, pr.key);
+    pr.hash = fnv1a64_u64(pr.key);
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
     std::size_t after = 0;
-    while (const ConeMemo::Entry* m = memo_->peek(s32, h, seg_keys_[si], &after)) {
-      ++seg_probes_[si];
+    pr.result = SegResult::Classified;
+    while (const ConeMemo::Entry* m = memo_->peek(s32, pr.hash, pr.key, &after)) {
+      ++pr.probes;
       if (adopt_segment(e, seg, m->act.data(), m->pass_src.data(), m->out_bits.data(),
-                        m->touch.data(), m->touch.size(), seg_touch_[si])) {
-        seg_adopt_id_[si] = m->slice_id;
-        seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-        seg_result_[si] = kSegMemoAdopt;
-        return;
+                        m->touch.data(), m->touch.size(), e.touch)) {
+        pr.adopt_id = m->slice_id;
+        pr.result = SegResult::MemoAdopt;
+        break;
       }
     }
-
     // Miss (or every key-equal candidate drifted): reclassify this cone,
     // minting a fresh slice identity iff the bytes changed.
-    classify_segment(e, seg, seg_touch_[si]);
+    if (pr.result == SegResult::Classified) classify_segment(e, seg, e.touch);
     seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-    seg_result_[si] = kSegClassified;
-  });
+  }
+  e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
 
-  // Phase C (serial, ascending) — stitch the touch index, replay the memo's
-  // LRU motion for every probe phase B made, insert fresh classifications,
-  // and settle slice ids and counters in the exact serial order.
+  // Commit phase (ascending): the memo's LRU motion for every probe above,
+  // inserts of fresh classifications, slice ids and counters.
   for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_.segments[si];
-    e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-    e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
+    const SegProbe& pr = seg_probe_[si];
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    switch (seg_result_[si]) {
-      case kSegCleanAdopt:
+    switch (pr.result) {
+      case SegResult::CleanAdopt:
         ++cone_hits_;
         break;
-      case kSegMemoAdopt:
+      case SegResult::MemoAdopt:
         ++cone_hits_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (seg_changed_[si] != 0) slice_ids_[si] = seg_adopt_id_[si];
+        memo_->touch_candidates(s32, pr.hash, pr.key, pr.probes);
+        if (seg_changed_[si] != 0) slice_ids_[si] = pr.adopt_id;
         // else: keep the snapshot's slice id — same content.
         break;
-      case kSegClassified:
-      default: {
+      case SegResult::Classified: {
         ++cone_misses_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (ConeMemo::Entry* m = memo_->insert(s32, seg_hash_[si], seg_keys_[si])) {
+        memo_->touch_candidates(s32, pr.hash, pr.key, pr.probes);
+        if (ConeMemo::Entry* m = memo_->insert(s32, pr.hash, pr.key)) {
           const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
           const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
           const auto wb =
               e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
+          const auto tb = e.touch.begin();
           m->act.assign(ab, ab + seg.count);
           m->pass_src.assign(pb, pb + seg.count);
           m->out_bits.assign(wb, wb + seg.count);
-          m->touch = seg_touch_[si];
+          m->touch.assign(tb + e.touch_off[si], tb + e.touch_off[si + 1]);
           if (seg_changed_[si] != 0) slice_ids_[si] = m->slice_id;
         }
         break;
       }
     }
   }
-  e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
 
   // Refresh the snapshot: roots, the touch index, and changed slices only
   // (clean slices are already byte-identical in the snapshot).
@@ -1030,30 +973,6 @@ bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const std::uint8_t
   if (!verify_touch(e, touch, touch_count)) return false;
   out_touch.insert(out_touch.end(), touch, touch + touch_count);
   return true;
-}
-
-bool Planner::verify_entry(const Entry& e) {
-  const std::size_t nseg = layout_.segments.size();
-  if (opts_.pool == nullptr || nseg <= 1) {
-    return verify_touch(e, e.touch.data(), e.touch.size());
-  }
-  // Cone-parallel hit verification: each segment verifies its touch
-  // sub-range, with operand fingerprint reads ordered by the dependency
-  // DAG. A failing segment stops propagating its fingerprints, which can
-  // only make downstream segments fail too — the conjunction is the same
-  // boolean the serial walk computes, and partially-written fingerprints
-  // are rewritten by the fallback classification.
-  std::fill(seg_ok_.begin(), seg_ok_.end(), 1);
-  opts_.pool->run(nseg, slice_dep_offsets_.data(), slice_dep_edges_.data(),
-                  [&](std::size_t si) {
-                    if (!verify_touch(e, e.touch.data() + e.touch_off[si],
-                                      e.touch_off[si + 1] - e.touch_off[si])) {
-                      seg_ok_[si] = 0;
-                    }
-                  });
-  bool ok = true;
-  for (std::size_t si = 0; si < nseg; ++si) ok = ok && seg_ok_[si] != 0;
-  return ok;
 }
 
 bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
@@ -1202,8 +1121,6 @@ CyclePlan Planner::finish(bool is_final) {
   plan.slices = slices_.data();
   plan.num_slices = slices_.size();
   plan.wire_bits = cur_->wire_bits.data();
-  plan.dep_offsets = slice_dep_offsets_.data();
-  plan.dep_edges = slice_dep_edges_.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
   plan.emitted = b->emitted;

@@ -107,13 +107,6 @@ struct CyclePlan {
   const PlanSlice* slices = nullptr;
   std::size_t num_slices = 0;
   const std::uint8_t* wire_bits = nullptr;  ///< bit0 pub, bit1 val, bit2 flip
-  /// Cone dependency CSR: slice i reads outputs of earlier slices
-  /// dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (every edge points at a
-  /// lower slice index, so ascending slice order is a valid serial
-  /// schedule). This is the exact scheduling constraint for garbling or
-  /// evaluating slices on a worker pool.
-  const std::uint32_t* dep_offsets = nullptr;
-  const std::uint32_t* dep_edges = nullptr;
   std::size_t num_gates = 0;
   std::size_t num_wires = 0;
   std::uint64_t emitted = 0;  ///< number of garbled tables this cycle
@@ -289,20 +282,16 @@ class ConeMemo {
   using LruList = std::list<Entry>;
 
   void ensure_sized(std::uint64_t layout_key, const PlanLayout& layout);
-  /// Returns the first key-equal candidate at index >= *after (advancing
-  /// *after past it), or nullptr. Multiple entries may share a key: drifted
-  /// fingerprint structure makes key-equal states classify differently, and
-  /// the caller walks candidates until one verifies.
-  [[nodiscard]] Entry* find(std::uint32_t segment, std::uint64_t hash,
-                            const std::vector<std::uint64_t>& key, std::size_t* after);
-  /// Read-only candidate walk: the same sequence find() would return, with
-  /// no LRU motion — safe to call from concurrent workers probing different
-  /// segments. The caller replays the deferred LRU touches serially via
-  /// touch_candidates() once the parallel phase is over.
+  /// Read-only candidate walk with no LRU motion: returns the first
+  /// key-equal candidate at index >= *after (advancing *after past it), or
+  /// nullptr. Multiple entries may share a key: drifted fingerprint
+  /// structure makes key-equal states classify differently, and the caller
+  /// walks candidates until one verifies. A cycle probes every segment
+  /// before it commits any LRU motion (touch_candidates) or insert.
   [[nodiscard]] const Entry* peek(std::uint32_t segment, std::uint64_t hash,
                                   const std::vector<std::uint64_t>& key,
                                   std::size_t* after) const;
-  /// Replays the LRU effect of `probed` find() probes for this key: splices
+  /// Commits the LRU effect of `probed` peek() probes for this key: splices
   /// the first `probed` key-equal candidates to the front, in probe order.
   /// Candidates evicted since the probe are silently skipped.
   void touch_candidates(std::uint32_t segment, std::uint64_t hash,
@@ -321,16 +310,9 @@ class ConeMemo {
   std::uint64_t layout_key_ = 0;
 };
 
-class WorkPool;
-
 struct PlannerOptions {
   Mode mode = Mode::SkipGate;
   crypto::Block seed{};  ///< fingerprint stream seed (public; must match peer)
-  /// Optional worker pool for cone-parallel classification and hit
-  /// verification (null = serial). Parallel and serial runs produce
-  /// bit-identical plans: per-gate fingerprints are derived, not streamed,
-  /// and all cache/memo bookkeeping stays on the calling thread.
-  WorkPool* pool = nullptr;
   bool cache = true;
   /// Budget for the planner-owned cache when no shared cache is supplied.
   std::size_t cache_budget_bytes = 64u << 20;
@@ -395,10 +377,9 @@ class Planner {
   crypto::Block fresh_fp();
   /// Fingerprint of a category-iv gate output: a pure function of the
   /// cycle's fp epoch and the gate index, so the value is identical whether
-  /// the gate is classified serially, on a worker, or re-derived during a
-  /// hit verification — order-independence is what makes cone-parallel
-  /// classification bit-identical to the serial pass. Disjoint from the
-  /// root fingerprint stream by construction (top plaintext bit).
+  /// the gate is classified fresh, adopted from a cached slice, or
+  /// re-derived during a hit verification. Disjoint from the root
+  /// fingerprint stream by construction (top plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
   void bind_secret_fp(WireState& s);
   void build_signature();
@@ -409,10 +390,8 @@ class Planner {
   /// cone by cone when cone memoization is enabled: clean cones (no root
   /// signature word changed, no upstream slice changed) adopt the previous
   /// cycle's slice outright; dirty cones consult the memo by local key;
-  /// memo misses reclassify. Segments are processed on the worker pool when
-  /// one is configured (classification is per-cone data-independent given
-  /// the dependency DAG); memo LRU motion and counters are replayed
-  /// serially afterwards, so the result is bit-identical to a serial run.
+  /// memo misses reclassify. Every segment is probed (ascending) before
+  /// the memo's LRU motion, inserts and counters are committed (ascending).
   void build_plan(Entry& e);
   /// Fresh forward classification of one segment's gates into `e`; touched
   /// gate indices are appended to `touch` (per-segment scratch).
@@ -425,9 +404,6 @@ class Planner {
                                    const netlist::WireId* pass_src,
                                    const std::uint8_t* out_bits, const std::uint32_t* touch,
                                    std::size_t touch_count, std::vector<std::uint32_t>& out_touch);
-  /// Hit path: verifies the whole entry — per-segment touch sub-ranges in
-  /// parallel on the pool when one is configured, one serial walk otherwise.
-  [[nodiscard]] bool verify_entry(const Entry& e);
   /// Walks a touch (sub-)list once, propagating fingerprints through the
   /// cached actions AND verifying every fingerprint-dependent
   /// classification decision (category iii, XOR cancellation, category iv)
@@ -447,7 +423,7 @@ class Planner {
   PlanLayout layout_;
 
   // Root fingerprints are AES-CTR outputs consumed in strict counter order
-  // (binding happens serially in reset()/begin_cycle()), generated a
+  // (binding happens in reset()/begin_cycle()), generated a
   // pipelined batch at a time (same sequence as scalar calls). Category-iv
   // gate fingerprints do NOT come from this stream: they are derived per
   // (epoch, gate) — see derived_fp() — so classification order cannot
@@ -533,24 +509,17 @@ class Planner {
   /// slice ids only pin gate-range content.
   std::vector<netlist::WireId> backward_root_wires_;
 
-  // Cone dependency CSR over slices, flattened once from layout_ (every
-  // edge points at a lower index). Drives the worker-pool schedule of
-  // classification/verification and is exported through CyclePlan for the
-  // party sessions' parallel garble/eval schedules.
-  std::vector<std::uint32_t> slice_dep_offsets_;
-  std::vector<std::uint32_t> slice_dep_edges_;
-
-  // Per-segment scratch for the parallel classification phase: each worker
-  // writes only its own segment's slots; the serial stitch phase reads them
-  // in ascending segment order.
-  enum : std::uint8_t { kSegCleanAdopt = 0, kSegMemoAdopt = 1, kSegClassified = 2 };
-  std::vector<std::vector<std::uint32_t>> seg_touch_;
-  std::vector<std::vector<std::uint64_t>> seg_keys_;
-  std::vector<std::uint64_t> seg_hash_;
-  std::vector<std::uint32_t> seg_probes_;    ///< memo candidates probed
-  std::vector<std::uint64_t> seg_adopt_id_;  ///< slice id of the adopted memo entry
-  std::vector<std::uint8_t> seg_result_;
-  std::vector<std::uint8_t> seg_ok_;  ///< per-segment hit-verification flags
+  // Per-segment outcome of a stitched cycle's probe phase, read back by its
+  // commit phase (memo LRU motion, inserts, slice ids, counters).
+  enum class SegResult : std::uint8_t { CleanAdopt, MemoAdopt, Classified };
+  struct SegProbe {
+    std::vector<std::uint64_t> key;  ///< local memo key (dirty cones only)
+    std::uint64_t hash = 0;
+    std::uint32_t probes = 0;    ///< memo candidates probed
+    std::uint64_t adopt_id = 0;  ///< slice id of the adopted memo entry
+    SegResult result = SegResult::Classified;
+  };
+  std::vector<SegProbe> seg_probe_;
 
   // Signature scratch: fingerprint -> root-sweep equivalence-class id,
   // epoch-stamped so the table never needs clearing (64-bit epoch: never

@@ -153,7 +153,7 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
   p.cone_target_gates = opts.exec.cone_target_gates;
   p.ot_backend = opts.exec.ot_backend;
   p.ot_pool = opts.exec.ot_pool;
-  p.threads = opts.exec.threads;
+  require_single_thread(opts.exec.threads, "ExecOptions::threads");
   return p;
 }
 

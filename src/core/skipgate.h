@@ -63,11 +63,7 @@ struct ExecOptions {
   /// refill schedule is a deterministic function of it, so both parties must
   /// use the same value. Ignored by the other backends.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
-  /// Worker threads per party for garbling/evaluation and per-cone plan
-  /// classification (core/workpool.h; 0 = one per hardware thread). Like
-  /// every ExecOptions field this never changes results: the ordered
-  /// transport writer keeps the framed byte stream, table digests and comm
-  /// accounting byte-identical to threads == 1.
+  /// Must be 1; removed once perfbench drops it (require_single_thread).
   std::size_t threads = 1;
 };
 

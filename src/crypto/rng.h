@@ -39,8 +39,7 @@ class CtrRng {
   /// which next_block()'s {counter, 0} plaintexts never do, so derived
   /// blocks and stream blocks are outputs of one AES permutation on
   /// disjoint inputs — mutually distinct and jointly pseudorandom. Const
-  /// and stateless: concurrent workers can derive per-domain counter-mode
-  /// subsequences from one seeded generator without sharing a cursor.
+  /// and stateless: the value depends on its address, not on a cursor.
   [[nodiscard]] Block derive(std::uint64_t domain, std::uint64_t ordinal) const {
     return aes_.encrypt(Block{ordinal, (1ull << 63) | domain});
   }

@@ -117,14 +117,10 @@ Block Evaluator::eval(Block a, Block b, const GarbledTable& table) {
   const std::uint64_t j0 = tweak_;
   tweak_ += 2;
   ++gate_counter_;
-  return eval_at(a, b, table, j0);
-}
-
-Block Evaluator::eval_at(Block a, Block b, const GarbledTable& table, std::uint64_t tweak) const {
   switch (scheme_) {
-    case Scheme::HalfGates: return eval_half_gates(a, b, tweak, table);
-    case Scheme::Grr3: return eval_classic(a, b, tweak, table, /*grr3=*/true);
-    case Scheme::Classic4: return eval_classic(a, b, tweak, table, /*grr3=*/false);
+    case Scheme::HalfGates: return eval_half_gates(a, b, j0, table);
+    case Scheme::Grr3: return eval_classic(a, b, j0, table, /*grr3=*/true);
+    case Scheme::Classic4: return eval_classic(a, b, j0, table, /*grr3=*/false);
     default: throw std::logic_error("evaluator: unknown scheme");
   }
 }

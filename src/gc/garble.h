@@ -58,19 +58,18 @@ class Garbler {
   /// evaluator via the shared gate counter).
   Block garble(Block a0, Block b0, netlist::AndCore core, GarbledTable& table);
 
-  /// Stateless garbling at an explicit tweak (uses `tweak` and `tweak + 1`):
-  /// bit-identical to garble() fed the same tweaks, but const, so
-  /// independent cones garble concurrently against preassigned tweak
-  /// ranges. `classic_fresh` supplies the fresh output label Classic4 needs
-  /// (derived_label; ignored by the row-reduced schemes). The caller
-  /// advances the shared cursors once per cycle via advance().
+  /// Garbling at an explicit tweak (uses `tweak` and `tweak + 1`):
+  /// bit-identical to garble() fed the same tweaks. `classic_fresh`
+  /// supplies the fresh output label Classic4 needs (derived_label; ignored
+  /// by the row-reduced schemes). The caller advances the shared cursors
+  /// past the gate via advance().
   Block garble_at(Block a0, Block b0, netlist::AndCore core, std::uint64_t tweak,
                   Block classic_fresh, GarbledTable& table) const;
 
-  /// Label addressed by (domain, ordinal) from the session seed — the
-  /// deterministic-under-parallelism replacement for a fresh_label() draw
-  /// whose stream position would depend on worker interleaving. Disjoint
-  /// from the fresh_label() stream by construction (crypto::CtrRng::derive).
+  /// Label addressed by (domain, ordinal) from the session seed, so a
+  /// Classic4 output label depends on the gate, not on a stream position.
+  /// Disjoint from the fresh_label() stream by construction
+  /// (crypto::CtrRng::derive).
   [[nodiscard]] Block derived_label(std::uint64_t domain, std::uint64_t ordinal) const {
     return rng_.derive(domain, ordinal);
   }
@@ -82,8 +81,7 @@ class Garbler {
     tweak_ += 2 * gates;
   }
 
-  /// The next tweak garble() would consume — the base the per-cone tweak
-  /// ranges of a cycle are laid out from.
+  /// The next tweak garble() would consume.
   [[nodiscard]] std::uint64_t tweak_cursor() const { return tweak_; }
 
   [[nodiscard]] std::uint64_t gates_garbled() const { return gate_counter_; }
@@ -108,21 +106,6 @@ class Evaluator {
 
   /// Evaluates one garbled gate given the active input labels.
   Block eval(Block a, Block b, const GarbledTable& table);
-
-  /// Stateless evaluation at an explicit tweak (uses `tweak` and `tweak + 1`)
-  /// — the evaluator-side mirror of Garbler::garble_at, for cones evaluated
-  /// concurrently against preassigned tweak ranges.
-  Block eval_at(Block a, Block b, const GarbledTable& table, std::uint64_t tweak) const;
-
-  /// Advances the gate counter and tweak cursor past `gates` gates handled
-  /// out-of-band through eval_at().
-  void advance(std::uint64_t gates) {
-    gate_counter_ += gates;
-    tweak_ += 2 * gates;
-  }
-
-  /// The next tweak eval() would consume.
-  [[nodiscard]] std::uint64_t tweak_cursor() const { return tweak_; }
 
   [[nodiscard]] std::uint64_t gates_evaluated() const { return gate_counter_; }
 

@@ -2,19 +2,20 @@
 // fixed-bucket latency histograms with percentile readout. This is the
 // measurement layer every ROADMAP item now blocks on (shard-scaling curves,
 // stitch-floor headroom, cold-vs-marginal query costs): write-cheap enough
-// to live on the WorkPool hot path, readable as a Prometheus text page from
-// the serving layer (serve/ renders it; obs itself has no sockets).
+// to live on the per-slice session hot path, readable as a Prometheus text
+// page from the serving layer (serve/ renders it; obs itself has no sockets).
 //
 // Design constraints, in order:
 //   - Writes are lock-free and sharded: every instrument is an array of
 //     cache-line-isolated atomic cells indexed by a per-thread ordinal, so
-//     worker threads never contend on a counter line. Reads (snapshot,
+//     concurrent threads (serve shards, the two parties of an in-process
+//     run) never contend on a counter line. Reads (snapshot,
 //     percentiles, rendering) sum the shards — they are the cold path.
 //   - Instrumentation never changes results: nothing here touches the
 //     protocol, transports, sessions or any RNG. The planner-purity lint
-//     rule still EXCLUDES obs from core/plan.* and core/workpool.* — the
-//     public-values-only planning argument stays free of wall-clock state;
-//     pool task execution is traced from the session-side task closures.
+//     rule still EXCLUDES obs from core/plan.* — the public-values-only
+//     planning argument stays free of wall-clock state; slice execution is
+//     traced from the party sessions.
 //   - Compiled out entirely under -DARM2GC_OBS=OFF: the A2G_* macros expand
 //     to nothing and the classes become empty inline stubs, so a disabled
 //     build carries zero instructions and zero statics. When compiled in

@@ -3,7 +3,7 @@
 // Tracing answers the question metrics can't: *where inside one run* the
 // wall-clock went — per schedule phase, per cone slice, per OT refill batch.
 // Spans are recorded into per-thread buffers (own mutex each, so concurrent
-// workers never serialize on a global lock) and exported as a Chrome Trace
+// threads never serialize on a global lock) and exported as a Chrome Trace
 // Event Format document ({"traceEvents":[{"ph":"X",...}]}) that loads
 // directly in chrome://tracing or Perfetto.
 //
@@ -11,7 +11,7 @@
 // the protocol — a traced run produces byte-identical tables, digests and
 // comm counters (pinned in obs_test). The clock is injectable
 // (Tracer::enable(clock)) so tests drive spans with a counter instead of
-// real time and workers stay reproducible; passing nullptr uses the steady
+// real time and stay reproducible; passing nullptr uses the steady
 // clock. Like metrics.h, everything compiles to empty inline stubs under
 // -DARM2GC_OBS=OFF (the exporter still writes a valid empty trace so
 // `--trace` never produces a broken file).

@@ -20,7 +20,7 @@ core::PartyOptions to_party_options(const ClientOptions& c) {
   o.ot_backend = c.ot_backend;
   o.ot_pool = c.ot_pool;
   o.cone_target_gates = c.cone_target_gates;
-  o.threads = c.threads;
+  core::require_single_thread(c.threads, "ClientOptions::threads");
   return o;
 }
 
@@ -30,6 +30,7 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
                         const netlist::Netlist& nl, const ClientOptions& copts,
                         const netlist::BitVec& bob_bits, const netlist::BitVec& pub_bits,
                         const core::StreamProvider* streams, core::WarmState* warm) {
+  const core::PartyOptions popts = to_party_options(copts);  // validates before connecting
   std::unique_ptr<gc::SocketDuplex> sock =
       gc::SocketDuplex::connect(host, port, copts.connect_timeout_ms);
   sock->set_recv_timeout_ms(copts.recv_timeout_ms);
@@ -61,7 +62,6 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   // re-base too: only the plan caches and cone memos carry across served
   // runs, never the OT streams. A no-op when the state is already based.
   if (warm != nullptr) warm->reset_ot();
-  const core::PartyOptions popts = to_party_options(copts);
   core::EvaluatorEndpoint ev(nl, popts, sock->end(), warm);
   core::RunResult r = ev.run(bob_bits, pub_bits, streams);
 

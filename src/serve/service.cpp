@@ -241,7 +241,6 @@ struct GarblerService::Impl {
       popts.scheme = static_cast<gc::Scheme>(h.scheme);
       popts.ot_backend = static_cast<gc::OtBackend>(h.ot_backend);
       popts.ot_pool = static_cast<std::size_t>(h.ot_pool);
-      popts.threads = impl.opts.exec_threads;
       return HelloStatus::Ok;
     }
 
@@ -784,6 +783,7 @@ struct GarblerService::Impl {
   Impl(std::vector<ProgramSpec> progs, const ServiceOptions& o)
       : programs(std::move(progs)), opts(o), warm(o.warm_pool) {
     if (programs.empty()) throw std::invalid_argument("serve: no programs registered");
+    core::require_single_thread(opts.exec_threads, "ServiceOptions::exec_threads");
     for (const ProgramSpec& p : programs) {
       if (p.nl == nullptr) throw std::invalid_argument("serve: program without a netlist");
       if (p.name.empty() || p.name.size() > kMaxProgramName) {

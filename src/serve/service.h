@@ -62,7 +62,7 @@ struct ServiceOptions {
   std::size_t max_clients = 64;
   std::size_t shards = 1;     ///< event-loop threads
   std::size_t warm_pool = 4;  ///< WarmStates retained per program/backend key
-  std::size_t exec_threads = 1;  ///< worker threads per run (PartyOptions::threads)
+  std::size_t exec_threads = 1;  ///< must be 1; removed once perfbench drops it
   /// Park a connection (stop reading/advancing) beyond this many queued
   /// send bytes; the hard limit is enforced inside the transport.
   std::size_t send_soft_limit = 1u << 20;
@@ -102,7 +102,7 @@ class GarblerService {
  public:
   /// Binds the listener (so port() is valid immediately); start() spawns
   /// the shard threads. Throws std::invalid_argument on an empty program
-  /// set or a spec without a netlist.
+  /// set, a spec without a netlist, or exec_threads != 1.
   GarblerService(std::vector<ProgramSpec> programs, const ServiceOptions& opts);
   ~GarblerService();  ///< stop()s if still running
   GarblerService(const GarblerService&) = delete;

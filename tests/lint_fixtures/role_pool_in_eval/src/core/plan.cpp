@@ -1,11 +1,8 @@
 #include "core/plan.h"
-
-#include "core/workpool.h"
 namespace fix::core {
 CyclePlan classify(crypto::Block seed) {
   CyclePlan p;
-  WorkPool pool(1);
-  p.emitted = static_cast<unsigned>(seed.lo & 3u) + (pool.threads() - 1);
+  p.emitted = static_cast<unsigned>(seed.lo & 3u);
   return p;
 }
 }  // namespace fix::core

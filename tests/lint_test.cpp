@@ -95,18 +95,6 @@ TEST(LintFixtures, TransitivePurityIncludeFires) {
   EXPECT_NE(findings[0].message.find("crypto/rng.h"), std::string::npos);
 }
 
-TEST(LintFixtures, WorkpoolInPlannerClosureIsPurityChecked) {
-  // The worker pool is legal inside the planner's include closure only while
-  // it stays pure (the clean tree's plan.cpp includes a pure workpool.h). If
-  // the pool grows a transport include, the purity rule fires ON the pool
-  // header — the leak is attributed to the file that introduced it.
-  const auto findings = lint_fixture("purity_workpool");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "purity");
-  EXPECT_EQ(findings[0].file, "src/core/workpool.h");
-  EXPECT_NE(findings[0].message.find("gc/transport.h"), std::string::npos);
-}
-
 TEST(LintFixtures, PuritySymbolFires) {
   const auto findings = lint_fixture("purity_symbol");
   ASSERT_EQ(findings.size(), 1u);

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (src/obs/): histogram percentile
 // math pinned against a sorted-vector oracle, trace-JSON well-formedness,
-// registry concurrency under the WorkPool, Prometheus text rendering, and
+// registry and tracer concurrency across threads, Prometheus text rendering, and
 // the differential pin that turning observability on leaves every protocol
 // byte identical. Placeholder sections are extended below as integration
 // lands.
@@ -15,12 +15,12 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "builder/circuit_builder.h"
 #include "builder/stdlib.h"
 #include "core/skipgate.h"
-#include "core/workpool.h"
 #include "gc/transport_socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -122,12 +122,25 @@ TEST(ObsHistogram, EmptyAndSingleton) {
   EXPECT_EQ(h.count(), 1u);
 }
 
+// Runs fn(task) for tasks 0..n-1 spread over `threads` std::threads — the
+// concurrent recording pattern of GarblerService shards.
+template <class Fn>
+void fan_out(std::size_t threads, std::size_t n, const Fn& fn) {
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t task = t; task < n; task += threads) fn(task);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
+
 // ---------------------------------------------------------------------------
-// Registry: concurrency under the WorkPool — counters lose no increments and
-// histograms lose no samples when hammered from pool workers.
+// Registry: concurrency across threads — counters lose no increments and
+// histograms lose no samples when hammered from several threads at once.
 // ---------------------------------------------------------------------------
 
-TEST(ObsRegistry, ConcurrentUnderWorkPool) {
+TEST(ObsRegistry, ConcurrentAcrossThreads) {
   arm2gc::obs::Counter& c =
       Registry::instance().counter("obs_test.pool.increments");
   Histogram& h = Registry::instance().histogram("obs_test.pool.values");
@@ -136,8 +149,7 @@ TEST(ObsRegistry, ConcurrentUnderWorkPool) {
 
   constexpr std::size_t kTasks = 256;
   constexpr std::uint64_t kPerTask = 1000;
-  arm2gc::core::WorkPool pool(4);
-  pool.run(kTasks, nullptr, nullptr, [&](std::size_t task) {
+  fan_out(4, kTasks, [&](std::size_t task) {
     for (std::uint64_t i = 0; i < kPerTask; ++i) {
       c.add();
       h.record(task * kPerTask + i);
@@ -353,14 +365,12 @@ TEST(ObsTrace, DisabledSpansRecordNothing) {
   EXPECT_EQ(t.event_count(), 0u);
 }
 
-TEST(ObsTrace, ConcurrentSpansUnderWorkPool) {
+TEST(ObsTrace, ConcurrentSpansAcrossThreads) {
   Tracer& t = Tracer::instance();
   t.clear();
   t.enable(nullptr);  // steady clock
   constexpr std::size_t kTasks = 64;
-  arm2gc::core::WorkPool pool(4);
-  pool.run(kTasks, nullptr, nullptr,
-           [&](std::size_t) { A2G_SPAN("task", "obs_test"); });
+  fan_out(4, kTasks, [&](std::size_t) { A2G_SPAN("task", "obs_test"); });
   t.disable();
   EXPECT_EQ(t.event_count(), kTasks);
   std::size_t n = 0;
@@ -387,8 +397,7 @@ TEST(ObsTrace, ExportAlwaysValidJson) {
 // run field for field.
 // ---------------------------------------------------------------------------
 
-// Golden table digest of the run below (Iknp, pool 16, 2 threads, a=77,
-// b=200). The same constant is asserted by the ARM2GC_OBS=OFF build.
+// Golden table digest of the run below (Iknp, pool 16, a=77, b=200). The same constant is asserted by the ARM2GC_OBS=OFF build.
 constexpr const char* kObsAdderGoldenDigest =
     "9758814fd798f4a5c6198debe0f6f232";
 
@@ -405,7 +414,6 @@ core::RunResult obs_adder_run(const netlist::Netlist& nl) {
   opts.fixed_cycles = 1;
   opts.exec.ot_backend = gc::OtBackend::Iknp;
   opts.exec.ot_pool = 16;
-  opts.exec.threads = 2;
   return core::SkipGateDriver(nl, opts).run(to_bits(77, 8), to_bits(200, 8));
 }
 

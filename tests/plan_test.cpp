@@ -6,8 +6,11 @@
 // through the full driver.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "arm/arm2gc.h"
 #include "arm/assembler.h"
@@ -530,6 +533,66 @@ TEST(ConeMemo, LruEvictionBoundsEntries) {
   EXPECT_EQ(planner.cone_misses(), 17u);
   EXPECT_EQ(memo.entries(), 8u);
   EXPECT_EQ(memo.evictions(), 9u);
+}
+
+/// `chains` independent selector chains, each built as its own contiguous
+/// run of gates over its own secrets and its own `width`-bit streamed public
+/// selector — so a small cone target cuts several segments per netlist and
+/// each chain's selector value picks its segments' memo keys independently.
+netlist::Netlist multi_selector_netlist(std::uint32_t chains, std::uint32_t width) {
+  builder::CircuitBuilder cb;
+  for (std::uint32_t k = 0; k < chains; ++k) {
+    const builder::Wire a = cb.input(netlist::Owner::Alice, k);
+    const builder::Wire b = cb.input(netlist::Owner::Bob, k);
+    builder::Wire acc = cb.and_(a, b);
+    for (std::uint32_t i = 0; i < width; ++i) {
+      const builder::Wire s = cb.input(netlist::Owner::Public, k * width + i, /*streamed=*/true);
+      acc = cb.and_(cb.xor_(acc, s), cb.or_(a, s));
+    }
+    cb.output(acc, std::string(1, static_cast<char>('a' + k)));
+  }
+  cb.set_outputs_every_cycle(true);
+  return cb.take();
+}
+
+TEST(ConeMemo, LruPolicyUnderPressureAcrossSegments) {
+  // A saturated memo on a multi-segment netlist, as on MatrixMult3x3 warm
+  // runs (every cone miss evicts). Within one cycle every dirty segment
+  // probes the memo first; the cycle's LRU touches and inserts are then
+  // committed in ascending segment order. So a segment may hit an entry
+  // that an earlier segment's insert evicts in the same cycle. The exact
+  // per-cycle counter sequence below changes if that policy changes.
+  constexpr std::uint32_t kChains = 4;
+  constexpr std::uint32_t kWidth = 2;
+  const netlist::Netlist nl = multi_selector_netlist(kChains, kWidth);
+  core::ConeMemo memo(1);  // capacity floor of 8
+  PlannerOptions opts;
+  opts.cache = false;  // exercise the memo on every cycle
+  opts.shared_cone_memo = &memo;
+  opts.cone_target_gates = 4;
+  Planner planner(nl, opts);
+  planner.reset({});
+  ASSERT_GT(planner.layout().segments.size(), 4u);
+
+  crypto::CtrRng rng(crypto::block_from_u64(161803));
+  std::vector<std::array<std::uint64_t, 3>> seen;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    planner.begin_cycle(to_bits(rng.next_u64(), kChains * kWidth));
+    planner.forward();
+    planner.latch(planner.finish(/*is_final=*/false));
+    seen.push_back({planner.cone_hits(), planner.cone_misses(), memo.evictions()});
+  }
+  const std::vector<std::array<std::uint64_t, 3>> expected = {
+      {0, 5, 0}, {0, 10, 2}, {0, 15, 7}, {3, 17, 9}, {6, 19, 11}, {7, 23, 15}, {9, 26, 18},
+      {10, 30, 22}, {11, 34, 26}, {11, 39, 31}, {11, 44, 36}, {13, 47, 39}, {15, 50, 42},
+      {16, 54, 46}, {16, 59, 51}, {18, 62, 54}, {18, 67, 59}, {18, 72, 64}, {18, 77, 69},
+      {18, 82, 74}, {18, 87, 79}, {19, 91, 83}, {19, 96, 88}, {22, 98, 90}, {24, 101, 93},
+      {25, 105, 97}, {25, 110, 102}, {28, 112, 104}, {32, 113, 105}, {32, 118, 110},
+      {32, 123, 115}, {33, 127, 119}, {34, 131, 123}, {35, 135, 127}, {37, 138, 130},
+      {39, 141, 133}, {39, 146, 138}, {40, 150, 142}, {44, 151, 143}, {45, 155, 147},
+  };
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(memo.entries(), memo.capacity());
 }
 
 TEST(ConeMemo, RejectsReuseAcrossNetlistsAndLayouts) {

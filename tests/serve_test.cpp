@@ -4,7 +4,7 @@
 //   - differential: outputs, table digest, gate counts and per-class comm
 //     bytes are byte-identical across {in-memory driver, two blocking
 //     endpoints over a TCP socket, GarblerService + run_client} for every
-//     OT backend and at 1 and 4 worker threads — including with a tiny
+//     OT backend — including with a tiny
 //     send soft limit that forces the backpressure (park-on-write) path,
 //     and under the portable poll() poller backend;
 //   - connection churn: hundreds of sequential and dozens of concurrent
@@ -67,26 +67,23 @@ serve::ProgramSpec adder_spec(const netlist::Netlist& nl, const netlist::BitVec&
   return spec;
 }
 
-serve::ClientOptions adder_client_opts(gc::OtBackend ot, std::size_t pool,
-                                       std::size_t threads) {
+serve::ClientOptions adder_client_opts(gc::OtBackend ot, std::size_t pool) {
   serve::ClientOptions co;
   co.program = "adder8";
   co.fixed_cycles = 1;
   co.ot_backend = ot;
   co.ot_pool = pool;
-  co.threads = threads;
   return co;
 }
 
 /// In-memory reference of the same protocol run.
 core::RunResult adder_reference(const netlist::Netlist& nl, gc::OtBackend ot,
-                                std::size_t pool, std::size_t threads,
-                                const netlist::BitVec& a, const netlist::BitVec& b) {
+                                std::size_t pool, const netlist::BitVec& a,
+                                const netlist::BitVec& b) {
   core::RunOptions opts;
   opts.fixed_cycles = 1;
   opts.exec.ot_backend = ot;
   opts.exec.ot_pool = pool;
-  opts.exec.threads = threads;
   return core::SkipGateDriver(nl, opts).run(a, b);
 }
 
@@ -99,13 +96,12 @@ struct TwoProcessRun {
 };
 
 TwoProcessRun two_process_run(const netlist::Netlist& nl, gc::OtBackend ot,
-                              std::size_t pool, std::size_t threads,
-                              const netlist::BitVec& a, const netlist::BitVec& b) {
+                              std::size_t pool, const netlist::BitVec& a,
+                              const netlist::BitVec& b) {
   core::RunOptions opts;
   opts.fixed_cycles = 1;
   opts.exec.ot_backend = ot;
   opts.exec.ot_pool = pool;
-  opts.exec.threads = threads;
 
   gc::SocketListener listener("127.0.0.1", 0);
   const std::uint16_t port = listener.port();
@@ -170,7 +166,7 @@ void expect_matches_reference(const serve::ClientResult& res, const core::RunRes
   EXPECT_EQ(comm.output_bytes, ref.stats.comm.output_bytes);
 }
 
-TEST(GarblerService, DifferentialAcrossBackendsAndThreads) {
+TEST(GarblerService, DifferentialAcrossBackends) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(200, 8);
   const netlist::BitVec b = to_bits(55, 8);
@@ -178,28 +174,40 @@ TEST(GarblerService, DifferentialAcrossBackendsAndThreads) {
 
   for (const gc::OtBackend ot :
        {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const core::RunResult ref = adder_reference(nl, ot, kPool, threads, a, b);
-      EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
+    const core::RunResult ref = adder_reference(nl, ot, kPool, a, b);
+    EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
 
-      const TwoProcessRun two = two_process_run(nl, ot, kPool, threads, a, b);
-      EXPECT_EQ(two.garbler.final_outputs, ref.final_outputs);
-      EXPECT_TRUE(two.garbler.stats.table_digest == ref.stats.table_digest);
-      EXPECT_EQ(two.comm.total(), ref.stats.comm.total());
+    const TwoProcessRun two = two_process_run(nl, ot, kPool, a, b);
+    EXPECT_EQ(two.garbler.final_outputs, ref.final_outputs);
+    EXPECT_TRUE(two.garbler.stats.table_digest == ref.stats.table_digest);
+    EXPECT_EQ(two.comm.total(), ref.stats.comm.total());
 
-      serve::ServiceOptions so;
-      so.exec_threads = threads;
-      serve::GarblerService service({adder_spec(nl, a)}, so);
-      service.start();
-      const serve::ClientResult res = serve::run_client(
-          "127.0.0.1", service.port(), nl, adder_client_opts(ot, kPool, threads), b);
-      expect_matches_reference(res, ref);
-      service.stop();
-      const serve::ServiceStats st = service.stats();
-      EXPECT_EQ(st.runs_ok, 1u);
-      EXPECT_EQ(st.runs_failed, 0u);
-      EXPECT_EQ(st.gates_garbled, ref.stats.garbled_non_xor);
-    }
+    serve::GarblerService service({adder_spec(nl, a)}, serve::ServiceOptions{});
+    service.start();
+    const serve::ClientResult res =
+        serve::run_client("127.0.0.1", service.port(), nl, adder_client_opts(ot, kPool), b);
+    expect_matches_reference(res, ref);
+    service.stop();
+    const serve::ServiceStats st = service.stats();
+    EXPECT_EQ(st.runs_ok, 1u);
+    EXPECT_EQ(st.runs_failed, 0u);
+    EXPECT_EQ(st.gates_garbled, ref.stats.garbled_non_xor);
+  }
+}
+
+/// The legacy thread-count fields accept only 1: each party runs serially.
+TEST(GarblerService, RejectsThreadCountsOtherThanOne) {
+  const netlist::Netlist nl = adder_netlist();
+  const netlist::BitVec a = to_bits(1, 8);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    serve::ServiceOptions so;
+    so.exec_threads = threads;
+    EXPECT_THROW(serve::GarblerService({adder_spec(nl, a)}, so), std::invalid_argument);
+
+    serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+    co.threads = threads;
+    // Rejected before any connection attempt: port 1 is never dialled.
+    EXPECT_THROW((void)serve::run_client("127.0.0.1", 1, nl, co, a), std::invalid_argument);
   }
 }
 
@@ -210,14 +218,14 @@ TEST(GarblerService, BackpressureSoftLimitIsResultInvariant) {
   const netlist::BitVec a = to_bits(17, 8);
   const netlist::BitVec b = to_bits(21, 8);
   const core::RunResult ref =
-      adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
+      adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
 
   serve::ServiceOptions so;
   so.send_soft_limit = 256;  // park on write constantly
   serve::GarblerService service({adder_spec(nl, a)}, so);
   service.start();
   const serve::ClientResult res = serve::run_client(
-      "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16, 1), b);
+      "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16), b);
   expect_matches_reference(res, ref);
   service.stop();
   EXPECT_LE(service.stats().send_queue_high_water, so.send_hard_limit);
@@ -229,7 +237,7 @@ TEST(GarblerService, PollBackendDifferential) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(100, 8);
   const netlist::BitVec b = to_bits(50, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
 
   serve::ServiceOptions so;
   so.poller = serve::PollerBackend::Poll;
@@ -238,7 +246,7 @@ TEST(GarblerService, PollBackendDifferential) {
   service.start();
   for (int i = 0; i < 3; ++i) {
     const serve::ClientResult res = serve::run_client(
-        "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16, 1), b);
+        "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16), b);
     expect_matches_reference(res, ref);
   }
   service.stop();
@@ -287,8 +295,8 @@ TEST(GarblerService, SequentialChurnNoFdLeakAndWarmHits) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(7, 8);
   const netlist::BitVec b = to_bits(35, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
 
   // Warmup lifecycle absorbs lazily created process-wide fds, so the leak
   // check below is an exact equality.
@@ -333,8 +341,8 @@ TEST(GarblerService, ConcurrentChurn) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(90, 8);
   const netlist::BitVec b = to_bits(9, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
 
   serve::ServiceOptions so;
   so.shards = 2;
@@ -384,7 +392,7 @@ TEST(GarblerService, BusyAtCapacityThenSlotFrees) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(1, 8);
   const netlist::BitVec b = to_bits(2, 8);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
 
   serve::ServiceOptions so;
   so.max_clients = 1;
@@ -415,7 +423,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
   serve::GarblerService service({adder_spec(nl, to_bits(1, 8))}, serve::ServiceOptions{});
   service.start();
 
-  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
   co.program = "no-such-program";
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -424,7 +432,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
     EXPECT_EQ(e.status(), serve::HelloStatus::UnknownProgram);
   }
 
-  co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  co = adder_client_opts(gc::OtBackend::Ideal, 16);
   co.fixed_cycles = 2;  // spec says 1
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -456,8 +464,8 @@ TEST(GarblerService, MidProtocolDisconnectNeverPoisonsWarmPool) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(40, 8);
   const netlist::BitVec b = to_bits(2, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16, 1);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
 
   serve::ServiceOptions so;
   so.warm_pool = 1;  // every client shares ONE pooled WarmState

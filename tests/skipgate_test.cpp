@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "builder/circuit_builder.h"
 #include "builder/stdlib.h"
@@ -40,6 +41,18 @@ TEST(SkipGate, SingleAndGate) {
     const RunResult r = run_once(nl, Mode::SkipGate, {(bits & 1) != 0}, {(bits & 2) != 0});
     EXPECT_EQ(r.final_outputs[0], (bits & 1) && (bits & 2));
     EXPECT_EQ(r.stats.garbled_non_xor, 1u);
+  }
+}
+
+TEST(SkipGate, ExecThreadsMustBeOne) {
+  // Each party runs serially; the legacy thread-count option accepts only 1.
+  CircuitBuilder cb;
+  cb.output(cb.and_(cb.input(netlist::Owner::Alice, 0), cb.input(netlist::Owner::Bob, 0)));
+  const netlist::Netlist nl = cb.take();
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    RunOptions opts;
+    opts.exec.threads = threads;
+    EXPECT_THROW((void)SkipGateDriver(nl, opts).run({true}, {true}), std::invalid_argument);
   }
 }
 

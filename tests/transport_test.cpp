@@ -102,12 +102,11 @@ TEST(ThreadedPipeDuplex, BidirectionalEcho) {
 }
 
 TEST(ThreadedPipeDuplex, StressOrderedWriterAgainstPooledReader) {
-  // The parallel-session shape: one producer thread plays the garbler's
-  // ordered writer (bursty per-cone sends, sizes varying per "slice"), while
-  // the consumer pulls exact per-gate frames and hands them to short-lived
-  // worker threads for checking — receive order on the transport stays the
-  // single-threaded slice order even with workers racing around it. Run
-  // under TSan in CI.
+  // One producer thread plays the garbler (bursty per-slice sends, sizes
+  // varying per "slice"), while the consumer pulls exact per-gate frames
+  // and hands them to short-lived checker threads — receive order on the
+  // transport stays the send order even with other threads racing around
+  // it. Run under TSan in CI.
   constexpr std::size_t kSlices = 300;
   ThreadedPipeDuplex duplex(128);
   std::thread producer([&] {

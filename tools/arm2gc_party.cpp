@@ -36,8 +36,9 @@
 
 #include "arm/arm2gc.h"
 #include "arm/assembler.h"
-#include "obs/trace.h"
+#include "cli_args.h"
 #include "gc/transport_socket.h"
+#include "obs/trace.h"
 #include "programs/programs.h"
 
 using namespace arm2gc;
@@ -53,7 +54,6 @@ struct Args {
   std::vector<std::uint32_t> alice;  ///< local-role inputs
   std::vector<std::uint32_t> bob;
   std::uint64_t max_cycles = 1u << 20;
-  std::size_t threads = 1;  ///< worker threads (0 = hardware concurrency)
   gc::Scheme scheme = gc::Scheme::HalfGates;
   gc::OtBackend ot = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
@@ -76,8 +76,6 @@ struct Args {
                "                                path and derandomizes online choices\n"
                "  [--ot-pool N]                 precomp refill target in random OTs\n"
                "                                (public; must match the peer)\n"
-               "  [--threads N]                 worker threads (0 = all cores); results,\n"
-               "                                digests and byte counts match --threads 1\n"
                "  [--seed <32 hex>]             public protocol seed (must match peer)\n"
                "  [--private-seed <32 hex>|os]  this party's own randomness\n"
                "  [--alice-words N --bob-words N --out-words N --imem-words N --ram-words N]\n"
@@ -85,16 +83,7 @@ struct Args {
   std::exit(2);
 }
 
-std::vector<std::uint32_t> parse_words(const std::string& s) {
-  std::vector<std::uint32_t> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(static_cast<std::uint32_t>(std::stoul(item, nullptr, 0)));
-  }
-  return out;
-}
+const cli::FlagParser kFlags(usage);
 
 /// Parses the 32-hex-digit form Block::hex() prints (most significant byte
 /// first), so seeds and digests round-trip through the command line.
@@ -102,9 +91,10 @@ crypto::Block parse_block(const std::string& s) {
   if (s.size() != 32) usage("seed must be 32 hex digits");
   std::uint8_t bytes[16];
   for (int i = 0; i < 16; ++i) {
-    bytes[15 - i] =
-        static_cast<std::uint8_t>(std::stoul(s.substr(2 * static_cast<std::size_t>(i), 2),
-                                             nullptr, 16));
+    const std::optional<std::uint64_t> byte =
+        cli::parse_uint(s.substr(2 * static_cast<std::size_t>(i), 2), 0xff, 16);
+    if (!byte) usage("seed must be 32 hex digits");
+    bytes[15 - i] = static_cast<std::uint8_t>(*byte);
   }
   return crypto::Block::from_bytes(bytes);
 }
@@ -117,13 +107,6 @@ crypto::Block os_entropy_block() {
     std::memcpy(bytes + i, &v, 4);
   }
   return crypto::Block::from_bytes(bytes);
-}
-
-std::pair<std::string, std::uint16_t> parse_hostport(const std::string& s) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) usage("expected host:port");
-  return {s.substr(0, colon),
-          static_cast<std::uint16_t>(std::stoul(s.substr(colon + 1), nullptr, 10))};
 }
 
 Args parse_args(int argc, char** argv) {
@@ -143,15 +126,13 @@ Args parse_args(int argc, char** argv) {
     } else if (f == "--program") {
       a.program = next(i);
     } else if (f == "--input") {
-      a.input = parse_words(next(i));
+      a.input = kFlags.words(f, next(i));
     } else if (f == "--alice") {
-      a.alice = parse_words(next(i));
+      a.alice = kFlags.words(f, next(i));
     } else if (f == "--bob") {
-      a.bob = parse_words(next(i));
+      a.bob = kFlags.words(f, next(i));
     } else if (f == "--max-cycles") {
-      a.max_cycles = std::stoull(next(i), nullptr, 0);
-    } else if (f == "--threads") {
-      a.threads = std::stoull(next(i), nullptr, 0);
+      a.max_cycles = kFlags.uint(f, next(i));
     } else if (f == "--scheme") {
       const std::string v = next(i);
       if (v == "halfgates") {
@@ -175,7 +156,7 @@ Args parse_args(int argc, char** argv) {
         usage("unknown OT backend");
       }
     } else if (f == "--ot-pool") {
-      a.ot_pool = std::stoull(next(i), nullptr, 0);
+      a.ot_pool = kFlags.uint(f, next(i));
       if (a.ot_pool == 0) usage("--ot-pool must be nonzero");
     } else if (f == "--seed") {
       a.seed = parse_block(next(i));
@@ -183,15 +164,15 @@ Args parse_args(int argc, char** argv) {
       const std::string v = next(i);
       a.private_seed = v == "os" ? os_entropy_block() : parse_block(v);
     } else if (f == "--alice-words") {
-      a.cfg.alice_words = std::stoull(next(i), nullptr, 0);
+      a.cfg.alice_words = kFlags.uint(f, next(i));
     } else if (f == "--bob-words") {
-      a.cfg.bob_words = std::stoull(next(i), nullptr, 0);
+      a.cfg.bob_words = kFlags.uint(f, next(i));
     } else if (f == "--out-words") {
-      a.cfg.out_words = std::stoull(next(i), nullptr, 0);
+      a.cfg.out_words = kFlags.uint(f, next(i));
     } else if (f == "--imem-words") {
-      a.cfg.imem_words = std::stoull(next(i), nullptr, 0);
+      a.cfg.imem_words = kFlags.uint(f, next(i));
     } else if (f == "--ram-words") {
-      a.cfg.ram_words = std::stoull(next(i), nullptr, 0);
+      a.cfg.ram_words = kFlags.uint(f, next(i));
     } else if (f == "--trace") {
       a.trace_path = next(i);
     } else {
@@ -297,7 +278,6 @@ int run_local(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  exec.threads = a.threads;
   const arm::Arm2GcResult r = machine.run(a.alice, a.bob, a.max_cycles, a.scheme, exec);
   std::printf("role=local\n");
   print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.outputs,
@@ -313,13 +293,13 @@ int run_party(const Args& a, const programs::Program& prog) {
 
   std::unique_ptr<gc::SocketDuplex> sock;
   if (!a.listen.empty()) {
-    const auto [host, port] = parse_hostport(a.listen);
+    const auto [host, port] = kFlags.hostport("--listen", a.listen);
     gc::SocketListener listener(host, port);
     std::fprintf(stderr, "[%s] listening on %s:%u\n", a.role.c_str(), host.c_str(),
                  listener.port());
     sock = listener.accept();
   } else {
-    const auto [host, port] = parse_hostport(a.connect);
+    const auto [host, port] = kFlags.hostport("--connect", a.connect);
     sock = gc::SocketDuplex::connect(host, port);
   }
   std::fprintf(stderr, "[%s] connected\n", a.role.c_str());
@@ -328,7 +308,6 @@ int run_party(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  exec.threads = a.threads;
   core::PartyOptions opts = machine.party_options(
       is_garbler ? core::Role::Garbler : core::Role::Evaluator, a.max_cycles, a.scheme, exec);
   opts.protocol_seed = a.seed;

@@ -19,8 +19,8 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +28,7 @@
 
 #include "arm/arm2gc.h"
 #include "bench_util.h"
+#include "cli_args.h"
 #include "obs/trace.h"
 #include "programs/programs.h"
 #include "serve/client.h"
@@ -56,7 +57,6 @@ struct Args {
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   std::size_t max_clients = 64;
   std::size_t shards = 1;
-  std::size_t exec_threads = 1;
   std::size_t warm_pool = 4;
   std::uint64_t exit_after_runs = 0;  ///< serve: exit once this many runs finished
   std::size_t runs = 1;               ///< client: sequential runs on one warm state
@@ -73,7 +73,7 @@ struct Args {
                "  serve:  --listen host:port\n"
                "          --program <builtin> --input w,w,...   (repeatable pairs;\n"
                "                  builtins: sum32 compare32 mult32 hamming160)\n"
-               "          [--max-clients N] [--shards N] [--exec-threads N]\n"
+               "          [--max-clients N] [--shards N]\n"
                "          [--warm-pool N] [--exit-after-runs N]\n"
                "          [--metrics-port N] [--metrics-host H] [--stats-interval-ms N]\n"
                "  client: --connect host:port --program <builtin> --input w,w,...\n"
@@ -83,23 +83,10 @@ struct Args {
   std::exit(2);
 }
 
-std::vector<std::uint32_t> parse_words(const std::string& s) {
-  std::vector<std::uint32_t> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(static_cast<std::uint32_t>(std::stoul(item, nullptr, 0)));
-  }
-  return out;
-}
+const cli::FlagParser kFlags(usage);
 
-std::pair<std::string, std::uint16_t> parse_hostport(const std::string& s) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) usage("expected host:port");
-  return {s.substr(0, colon),
-          static_cast<std::uint16_t>(std::stoul(s.substr(colon + 1), nullptr, 10))};
-}
+/// Event-loop shards beyond this are certainly a typo (each is a thread).
+constexpr std::uint64_t kMaxShards = 1024;
 
 Args parse_args(int argc, char** argv) {
   Args a;
@@ -119,34 +106,33 @@ Args parse_args(int argc, char** argv) {
       a.programs.push_back(ProgramArg{next(i), {}});
     } else if (f == "--input") {
       if (a.programs.empty()) usage("--input must follow a --program");
-      a.programs.back().input = parse_words(next(i));
+      a.programs.back().input = kFlags.words(f, next(i));
     } else if (f == "--max-cycles") {
-      a.max_cycles = std::stoull(next(i), nullptr, 0);
+      a.max_cycles = kFlags.uint(f, next(i));
     } else if (f == "--max-clients") {
-      a.max_clients = std::stoull(next(i), nullptr, 0);
+      a.max_clients = kFlags.uint(f, next(i));
     } else if (f == "--shards") {
-      a.shards = std::stoull(next(i), nullptr, 0);
-    } else if (f == "--exec-threads") {
-      a.exec_threads = std::stoull(next(i), nullptr, 0);
+      a.shards = kFlags.uint(f, next(i), kMaxShards);
     } else if (f == "--warm-pool") {
-      a.warm_pool = std::stoull(next(i), nullptr, 0);
+      a.warm_pool = kFlags.uint(f, next(i));
     } else if (f == "--exit-after-runs") {
-      a.exit_after_runs = std::stoull(next(i), nullptr, 0);
+      a.exit_after_runs = kFlags.uint(f, next(i));
     } else if (f == "--metrics-port") {
-      a.metrics_port = static_cast<int>(std::stoul(next(i), nullptr, 0));
+      a.metrics_port = static_cast<int>(kFlags.uint(f, next(i), 0xffff));
     } else if (f == "--metrics-host") {
       a.metrics_host = next(i);
     } else if (f == "--stats-interval-ms") {
-      a.stats_interval_ms = static_cast<int>(std::stoul(next(i), nullptr, 0));
+      a.stats_interval_ms =
+          static_cast<int>(kFlags.uint(f, next(i), std::numeric_limits<int>::max()));
     } else if (f == "--json") {
       benchutil::json().set_path(next(i));
     } else if (f == "--trace") {
       a.trace_path = next(i);
     } else if (f == "--runs") {
-      a.runs = std::stoull(next(i), nullptr, 0);
+      a.runs = kFlags.uint(f, next(i));
       if (a.runs == 0) usage("--runs must be nonzero");
     } else if (f == "--ot-pool") {
-      a.ot_pool = std::stoull(next(i), nullptr, 0);
+      a.ot_pool = kFlags.uint(f, next(i));
       if (a.ot_pool == 0) usage("--ot-pool must be nonzero");
     } else if (f == "--scheme") {
       const std::string v = next(i);
@@ -196,7 +182,7 @@ struct Registered {
 
 int run_serve(const Args& a) {
   if (a.listen.empty()) usage("serve mode needs --listen");
-  const auto [host, port] = parse_hostport(a.listen);
+  const auto [host, port] = kFlags.hostport("--listen", a.listen);
 
   std::vector<Registered> registered;
   std::vector<serve::ProgramSpec> specs;
@@ -218,7 +204,6 @@ int run_serve(const Args& a) {
   so.port = port;
   so.max_clients = a.max_clients;
   so.shards = a.shards;
-  so.exec_threads = a.exec_threads;
   so.warm_pool = a.warm_pool;
   so.metrics_port = a.metrics_port;
   so.metrics_host = a.metrics_host;
@@ -263,7 +248,7 @@ int run_serve(const Args& a) {
 int run_client(const Args& a) {
   if (a.connect.empty()) usage("client mode needs --connect");
   if (a.programs.size() != 1) usage("client mode takes exactly one --program");
-  const auto [host, port] = parse_hostport(a.connect);
+  const auto [host, port] = kFlags.hostport("--connect", a.connect);
   const ProgramArg& pa = a.programs.front();
   const programs::Program prog = load_program(pa.name);
   const arm::Arm2Gc machine(prog.cfg, prog.words);
@@ -275,7 +260,6 @@ int run_client(const Args& a) {
   co.ot_pool = a.ot_pool;
   co.halt_wire = machine.cpu().halt_wire;
   co.max_cycles = a.max_cycles;
-  co.threads = a.exec_threads;
 
   // One warm state across --runs: repeat runs ride the warm plan caches on
   // both sides, the serving scenario.
