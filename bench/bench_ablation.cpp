@@ -113,10 +113,9 @@ int main(int argc, char** argv) {
                 num(r.stats.non_xor_slots).c_str());
   }
 
-  benchutil::header("Ablation 5: cone-granular planning & transport overlap (wall-clock)");
+  benchutil::header("Ablation 5: transport overlap (wall-clock)");
   {
-    // Cold single runs (transient caches) with cone memoization off/on, and
-    // warm sessions over the lock-step in-memory duplex vs the threaded
+    // Warm sessions over the lock-step in-memory duplex vs the threaded
     // bounded pipe. Wall-clock is the figure of merit here: the pipe's
     // garbler/evaluator overlap only shows as a wall win with >= 2 cores
     // (on 1 vCPU it shows as per-party CPU reduction instead) — run this on
@@ -126,19 +125,6 @@ int main(int argc, char** argv) {
     for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
     for (auto& w : b) w = static_cast<std::uint32_t>(rng.next_u64());
     const arm::Arm2Gc machine(p.cfg, p.words);
-
-    core::ExecOptions cone_off;
-    cone_off.cone_memo = false;
-    core::ExecOptions cone_on;
-    double hit_ratio = 0.0;
-    const double cold_off = best_wall_ms(3, [&] { (void)machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_off); });
-    const double cold_on = best_wall_ms(3, [&] {
-      hit_ratio = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_on)
-                      .stats.cone_hit_ratio();
-    });
-    std::printf("cold run, cone memo off: %7.2f ms\n", cold_off);
-    std::printf("cold run, cone memo on:  %7.2f ms  (cone hit ratio %.1f%%)\n", cold_on,
-                100.0 * hit_ratio);
 
     arm::Arm2Gc::Session lockstep(machine);
     core::ExecOptions pipe_exec;
@@ -190,9 +176,6 @@ int main(int argc, char** argv) {
                 warm_socket);
 
     if (benchutil::json().enabled()) {
-      benchutil::json().add("hamming160.cold_ms_cone_off", cold_off);
-      benchutil::json().add("hamming160.cold_ms_cone_on", cold_on);
-      benchutil::json().add("hamming160.cold_cone_hit_ratio", hit_ratio);
       benchutil::json().add("hamming160.warm_session_ms_lockstep", warm_lock);
       benchutil::json().add("hamming160.warm_session_ms_threaded_pipe_wall", warm_pipe);
       benchutil::json().add("hamming160.warm_session_ms_socket_loopback_wall", warm_socket);

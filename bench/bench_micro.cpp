@@ -272,11 +272,9 @@ BENCHMARK(BM_ProtocolMul32)->Arg(0)->Arg(1);
 namespace {
 
 /// Full ARM2GC protocol run (SkipGate, halt-driven), parameterized by plan
-/// cache (arg0), transport (arg1) and cone memoization (arg2) — the
-/// per-cycle plan cache skips classification on revisited public control
-/// states, the cone memo re-classifies only dirty cones on cache-missed
-/// cycles, and the threaded pipe overlaps garbling with evaluation.
-/// Labels: "cache=0/1 pipe=0/1 cone=0/1".
+/// cache (arg0) and transport (arg1) — the per-cycle plan cache skips
+/// classification on revisited public control states, and the threaded
+/// pipe overlaps garbling with evaluation. Labels: "cache=0/1 pipe=0/1".
 void protocol_arm(benchmark::State& state, const programs::Program& prog,
                   std::vector<std::uint32_t> a, std::vector<std::uint32_t> b) {
   const arm::Arm2Gc machine(prog.cfg, prog.words);
@@ -284,24 +282,19 @@ void protocol_arm(benchmark::State& state, const programs::Program& prog,
   exec.plan_cache = state.range(0) != 0;
   exec.transport = state.range(1) != 0 ? core::TransportKind::ThreadedPipe
                                        : core::TransportKind::InMemory;
-  exec.cone_memo = state.range(2) != 0;
   std::uint64_t cycles = 0;
   double hit_ratio = 0.0;
-  double cone_ratio = 0.0;
   for (auto _ : state) {
     const arm::Arm2GcResult r = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec);
     benchmark::DoNotOptimize(r.outputs.data());
     cycles = r.cycles;
     hit_ratio = r.stats.plan_cache_hit_ratio();
-    cone_ratio = r.stats.cone_hit_ratio();
   }
   state.SetLabel(std::string("cache=") + (state.range(0) ? "1" : "0") +
-                 " pipe=" + (state.range(1) ? "1" : "0") +
-                 " cone=" + (state.range(2) ? "1" : "0"));
+                 " pipe=" + (state.range(1) ? "1" : "0"));
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cycles));
   state.counters["cycles"] = static_cast<double>(cycles);
   state.counters["cache_hit_ratio"] = hit_ratio;
-  state.counters["cone_hit_ratio"] = cone_ratio;
 }
 
 }  // namespace
@@ -310,22 +303,20 @@ static void BM_ProtocolArmSum32(benchmark::State& state) {
   protocol_arm(state, programs::sum(1), {0xDEADBEEFu}, {0x12345679u});
 }
 BENCHMARK(BM_ProtocolArmSum32)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
-    ->Args({0, 1, 0})
-    ->Args({1, 1, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 static void BM_ProtocolArmHamming160(benchmark::State& state) {
   protocol_arm(state, programs::hamming(5), {1, 2, 3, 4, 5}, {6, 7, 8, 9, 10});
 }
 BENCHMARK(BM_ProtocolArmHamming160)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
-    ->Args({0, 1, 0})
-    ->Args({1, 1, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 /// OT-phase cost of a full ARM2GC run (Hamming-160, cold): wall time spent

@@ -101,7 +101,6 @@ inline void json_stats(const std::string& prefix, const arm2gc::core::RunStats& 
   json().add(prefix + ".garbled_non_xor", s.garbled_non_xor);
   json().add(prefix + ".skip_ratio", s.skip_ratio());
   json().add(prefix + ".plan_cache_hit_ratio", s.plan_cache_hit_ratio());
-  json().add(prefix + ".cone_hit_ratio", s.cone_hit_ratio());
   json().add(prefix + ".comm_bytes", s.comm.total());
   json().add(prefix + ".ot_online_bytes", s.ot_online_bytes);
   json().add(prefix + ".ot_offline_ms", static_cast<double>(s.ot_offline_wall_ns) / 1e6);
@@ -172,14 +171,14 @@ inline std::string improv_ratio(std::uint64_t without, std::uint64_t with) {
 }
 
 /// Uniform per-row protocol-stats suffix: SkipGate elision ratio, plan cache
-/// hit rate, cone-memo hit rate and online/offline OT split, straight from
-/// RunStats (no per-bench hand computation).
+/// hit rate and online/offline OT split, straight from RunStats (no
+/// per-bench hand computation).
 inline std::string stats_brief(const arm2gc::core::RunStats& s) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s  otOff %.1fms",
+                "skip %6.2f%%  cache %5.1f%%  otB %s  otOff %.1fms",
                 100.0 * s.skip_ratio(), 100.0 * s.plan_cache_hit_ratio(),
-                100.0 * s.cone_hit_ratio(), num(s.ot_online_bytes).c_str(),
+                num(s.ot_online_bytes).c_str(),
                 static_cast<double>(s.ot_offline_wall_ns) / 1e6);
   return buf;
 }

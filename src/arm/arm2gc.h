@@ -82,15 +82,16 @@ class Arm2Gc {
                                            gc::Transport& tx, const core::PartyOptions& opts,
                                            core::WarmState* warm = nullptr) const;
 
-  /// Long-lived execution session: keeps per-party plan caches and cone
-  /// memos warm across runs of the same machine. The public signature
-  /// trajectory of a run depends only on the program (secret inputs
-  /// contribute value-independent fingerprint classes), so every run after
-  /// the first skips classification entirely — the serving scenario: one
-  /// public program, many executions on fresh private inputs. The warm cone
-  /// memos additionally serve runs whose public trajectory *differs* (e.g.
-  /// input-dependent loop counts): only the cones around the divergence are
-  /// reclassified. Under the IKNP OT backend the session also keeps the
+  /// Long-lived execution session: keeps per-party plan caches warm across
+  /// runs of the same machine. The public signature trajectory of a run
+  /// depends only on the program (secret inputs contribute value-independent
+  /// fingerprint classes), so every run after the first skips classification
+  /// entirely — the serving scenario: one public program, many executions on
+  /// fresh private inputs — as long as the trajectory's distinct cycle
+  /// states fit the plan-cache budget (the LRU evicts beyond it). A cycle
+  /// whose state is not cached, e.g. where an input-dependent loop count
+  /// makes a run's trajectory diverge, is classified afresh over the whole
+  /// netlist. Under the IKNP OT backend the session also keeps the
   /// per-role extension states warm, so the kappa base OTs run once and
   /// amortize across every later run (mirroring the plan-cache warm path);
   /// a run that throws mid-protocol resets the warm OT state on both
@@ -100,8 +101,8 @@ class Arm2Gc {
   class Session {
    public:
     /// `exec` seeds transport/budget tuning; `plan_cache` is forced on, and
-    /// the session's own per-role WarmState (plan cache + cone memo and, for
-    /// the Iknp backend, OT extension state) fills each warm slot the caller
+    /// the session's own per-role WarmState (plan cache and, for the Iknp
+    /// backend, OT extension state) fills each warm slot the caller
     /// left null (caller-supplied ones are used as given).
     explicit Session(const Arm2Gc& machine, core::ExecOptions exec = {});
 

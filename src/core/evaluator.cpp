@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/trace.h"
-
 namespace arm2gc::core {
 
 namespace {
@@ -166,73 +164,67 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
   gc::GarbledTable table;
   table.count = static_cast<std::uint8_t>(gc::blocks_per_gate(scheme_));
 
-  for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    A2G_SPAN("eval.slice", "slice");
-    const PlanSlice& sl = plan.slices[si];
-    // SkipGate slices carry an explicit work list of their live gates;
-    // Conventional mode processes every gate. Skipped gates keep stale
-    // labels, which is sound: a live gate's inputs are always live-produced
-    // (or roots) by the backward sweep's needed-closure, and every
-    // label-validity consumer (outputs, latched flip-flops) checks
-    // publicness first.
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      const std::size_t i = sl.first_gate + j;
-      const WireId w = first_gate + static_cast<WireId>(i);
-      const Gate g = nl_.gates[i];
-      switch (sl.action(j)) {
-        case PlanAct::Public:
+  // SkipGate plans carry an explicit work list of their live gates;
+  // Conventional mode processes every gate. Skipped gates keep stale labels,
+  // which is sound: a live gate's inputs are always live-produced (or roots)
+  // by the backward sweep's needed-closure, and every label-validity
+  // consumer (outputs, latched flip-flops) checks publicness first.
+  const std::size_t n = conventional ? plan.num_gates : plan.work_count;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = conventional ? k : plan.work[k];
+    const WireId w = first_gate + static_cast<WireId>(i);
+    const Gate g = nl_.gates[i];
+    switch (plan.action(i)) {
+      case PlanAct::Public:
+        lb_valid_[w] = 0;
+        break;
+      case PlanAct::PassA:
+        // Free-XOR: inverting a wire does not change the evaluator's label.
+        lb_[w] = lb_[g.a];
+        lb_valid_[w] = lb_valid_[g.a];
+        break;
+      case PlanAct::PassB:
+        lb_[w] = lb_[g.b];
+        lb_valid_[w] = lb_valid_[g.b];
+        break;
+      case PlanAct::PassC0:
+        lb_[w] = lb_[netlist::kConst0];
+        lb_valid_[w] = lb_valid_[netlist::kConst0];
+        break;
+      case PlanAct::PassC1:
+        lb_[w] = lb_[netlist::kConst1];
+        lb_valid_[w] = lb_valid_[netlist::kConst1];
+        break;
+      case PlanAct::PassSrc:
+        lb_[w] = lb_[plan.pass_src[i]];
+        lb_valid_[w] = lb_valid_[plan.pass_src[i]];
+        break;
+      case PlanAct::FreeXor:
+        lb_[w] = lb_[g.a] ^ lb_[g.b];
+        lb_valid_[w] = lb_valid_[g.a] & lb_valid_[g.b];
+        break;
+      case PlanAct::Garble: {
+        if (!plan.emit[i]) {
+          // Paper Alg. 5 line 18: a skipped gate's output is tracked as an
+          // opaque secret; fingerprints already play that role, so no label.
           lb_valid_[w] = 0;
           break;
-        case PlanAct::PassA:
-          // Free-XOR: inverting a wire does not change the evaluator's label.
-          lb_[w] = lb_[g.a];
-          lb_valid_[w] = lb_valid_[g.a];
-          break;
-        case PlanAct::PassB:
-          lb_[w] = lb_[g.b];
-          lb_valid_[w] = lb_valid_[g.b];
-          break;
-        case PlanAct::PassC0:
-          lb_[w] = lb_[netlist::kConst0];
-          lb_valid_[w] = lb_valid_[netlist::kConst0];
-          break;
-        case PlanAct::PassC1:
-          lb_[w] = lb_[netlist::kConst1];
-          lb_valid_[w] = lb_valid_[netlist::kConst1];
-          break;
-        case PlanAct::PassSrc:
-          lb_[w] = lb_[sl.pass_src[j]];
-          lb_valid_[w] = lb_valid_[sl.pass_src[j]];
-          break;
-        case PlanAct::FreeXor:
-          lb_[w] = lb_[g.a] ^ lb_[g.b];
-          lb_valid_[w] = lb_valid_[g.a] & lb_valid_[g.b];
-          break;
-        case PlanAct::Garble: {
-          if (!sl.emit[j]) {
-            // Paper Alg. 5 line 18: a skipped gate's output is tracked as an
-            // opaque secret; fingerprints already play that role, so no label.
-            lb_valid_[w] = 0;
-            break;
-          }
-          tx_->recv(table.rows.data(), table.count);
-          for (std::uint8_t t = 0; t < table.count; ++t) {
-            table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-          }
-          if (!lb_valid_[g.a] || !lb_valid_[g.b]) {
-            throw std::logic_error("skipgate: evaluator missing label for a needed gate");
-          }
-          lb_[w] = eval_.eval(lb_[g.a], lb_[g.b], table);
-          lb_valid_[w] = 1;
-          if (trace_) {
-            std::fprintf(stderr, "emit cycle=%llu gate=%zu a=%u b=%u tt=%d\n",
-                         static_cast<unsigned long long>(cycle), i, g.a, g.b,
-                         static_cast<int>(g.tt));
-          }
-          break;
         }
+        tx_->recv(table.rows.data(), table.count);
+        for (std::uint8_t t = 0; t < table.count; ++t) {
+          table_digest_ = table_digest_.gf_double() ^ table.rows[t];
+        }
+        if (!lb_valid_[g.a] || !lb_valid_[g.b]) {
+          throw std::logic_error("skipgate: evaluator missing label for a needed gate");
+        }
+        lb_[w] = eval_.eval(lb_[g.a], lb_[g.b], table);
+        lb_valid_[w] = 1;
+        if (trace_) {
+          std::fprintf(stderr, "emit cycle=%llu gate=%zu a=%u b=%u tt=%d\n",
+                       static_cast<unsigned long long>(cycle), i, g.a, g.b,
+                       static_cast<int>(g.tt));
+        }
+        break;
       }
     }
   }

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/trace.h"
-
 namespace arm2gc::core {
 
 namespace {
@@ -123,57 +121,55 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const WireId first_gate = nl_.first_gate_wire();
   const Block r = garbler_.R();
+  // Only Classic4 reads a fresh output label; the row-reduced schemes derive
+  // theirs from the input labels, so they skip the extra AES call.
+  const bool classic4 = garbler_.scheme() == gc::Scheme::Classic4;
   const bool conventional = mode_ == Mode::Conventional;
   ++cycle_epoch_;
 
-  for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    A2G_SPAN("garble.slice", "slice");
-    const PlanSlice& sl = plan.slices[si];
-    // SkipGate slices carry an explicit work list of their live gates;
-    // Conventional mode processes every gate.
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      const std::size_t i = sl.first_gate + j;
-      const WireId w = first_gate + static_cast<WireId>(i);
-      const Gate g = nl_.gates[i];
-      switch (sl.action(j)) {
-        case PlanAct::Public:
-          break;
-        case PlanAct::PassA:
-          la_[w] = la_[g.a] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.a));
-          break;
-        case PlanAct::PassB:
-          la_[w] = la_[g.b] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.b));
-          break;
-        case PlanAct::PassC0:
-          la_[w] = la_[netlist::kConst0];
-          break;
-        case PlanAct::PassC1:
-          la_[w] = la_[netlist::kConst1];
-          break;
-        case PlanAct::PassSrc: {
-          const WireId src = sl.pass_src[j];
-          la_[w] = la_[src] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(src));
-          break;
+  // SkipGate plans carry an explicit work list of their live gates;
+  // Conventional mode processes every gate.
+  const std::size_t n = conventional ? plan.num_gates : plan.work_count;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = conventional ? k : plan.work[k];
+    const WireId w = first_gate + static_cast<WireId>(i);
+    const Gate g = nl_.gates[i];
+    switch (plan.action(i)) {
+      case PlanAct::Public:
+        break;
+      case PlanAct::PassA:
+        la_[w] = la_[g.a] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.a));
+        break;
+      case PlanAct::PassB:
+        la_[w] = la_[g.b] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.b));
+        break;
+      case PlanAct::PassC0:
+        la_[w] = la_[netlist::kConst0];
+        break;
+      case PlanAct::PassC1:
+        la_[w] = la_[netlist::kConst1];
+        break;
+      case PlanAct::PassSrc: {
+        const WireId src = plan.pass_src[i];
+        la_[w] = la_[src] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(src));
+        break;
+      }
+      case PlanAct::FreeXor:
+        la_[w] = la_[g.a] ^ la_[g.b] ^
+                 maybe(r, (plan.wire_flip(w) != plan.wire_flip(g.a)) != plan.wire_flip(g.b));
+        break;
+      case PlanAct::Garble: {
+        if (!plan.emit[i]) break;  // dead garbled gate: never built nor sent
+        gc::GarbledTable table;
+        const Block fresh = classic4 ? garbler_.derived_label(cycle_epoch_, i) : Block{};
+        la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt),
+                                    garbler_.tweak_cursor(), fresh, table);
+        garbler_.advance(1);
+        tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
+        for (std::uint8_t t = 0; t < table.count; ++t) {
+          table_digest_ = table_digest_.gf_double() ^ table.rows[t];
         }
-        case PlanAct::FreeXor:
-          la_[w] = la_[g.a] ^ la_[g.b] ^
-                   maybe(r, (plan.wire_flip(w) != plan.wire_flip(g.a)) != plan.wire_flip(g.b));
-          break;
-        case PlanAct::Garble: {
-          if (!sl.emit[j]) break;  // dead garbled gate: never built nor sent
-          gc::GarbledTable table;
-          la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt),
-                                      garbler_.tweak_cursor(),
-                                      garbler_.derived_label(cycle_epoch_, i), table);
-          garbler_.advance(1);
-          tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
-          for (std::uint8_t t = 0; t < table.count; ++t) {
-            table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-          }
-          break;
-        }
+        break;
       }
     }
   }

@@ -68,12 +68,9 @@ struct RunStats {
   /// Cycles whose classification was served from the plan cache / computed.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-  /// Cone-granular memo counters: segments adopted from / classified into
-  /// the cone memo on cycles the whole-netlist plan cache missed. A cone hit
-  /// is work the flat cache could not save (similar-but-not-identical entry
-  /// states, e.g. ARM loop iterations differing only in a public counter).
-  std::uint64_t cone_hits = 0;
-  std::uint64_t cone_misses = 0;
+  /// Always 0 (the planner has no cone memo).
+  std::uint64_t cone_hits = 0;    ///< removed once perfbench/ stops naming it
+  std::uint64_t cone_misses = 0;  ///< removed once perfbench/ stops naming it
   /// Peak undelivered transport backlog, in 16-byte blocks (in-process
   /// duplexes only; a socket endpoint reports 0).
   std::uint64_t transport_high_water_blocks = 0;
@@ -111,11 +108,6 @@ struct RunStats {
     const std::uint64_t total = plan_cache_hits + plan_cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(plan_cache_hits) / static_cast<double>(total);
   }
-  /// Fraction of cache-missed cycles' cones stitched from the cone memo.
-  [[nodiscard]] double cone_hit_ratio() const {
-    const std::uint64_t total = cone_hits + cone_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cone_hits) / static_cast<double>(total);
-  }
 };
 
 /// Per-cycle bit provider for streamed inputs (bit-serial circuits). Index i
@@ -142,9 +134,9 @@ struct RunResult {
 };
 
 /// Everything one endpoint needs to know to run its role. The protocol
-/// fields (mode, scheme, cycle schedule, protocol_seed, ot_backend, plan
-/// tuning that affects the layout key) must match the peer's; private_seed
-/// and the cache budgets are the party's own business.
+/// fields (mode, scheme, cycle schedule, protocol_seed, ot_backend, ot_pool)
+/// must match the peer's; private_seed and the plan-cache tuning are the
+/// party's own business.
 struct PartyOptions {
   Mode mode = Mode::SkipGate;
   gc::Scheme scheme = gc::Scheme::HalfGates;
@@ -167,11 +159,6 @@ struct PartyOptions {
   /// Plan reuse tuning (results never depend on any of it).
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
-  bool cone_memo = true;
-  std::size_t cone_memo_budget_bytes = 32u << 20;
-  /// Segmentation granularity (gates per cone, approximate; 0 = whole
-  /// netlist as one cone). Public; both parties must derive the same layout.
-  std::size_t cone_target_gates = 512;
   /// OT backend for Bob's input labels (gc/otext.h); must match the peer.
   gc::OtBackend ot_backend = gc::OtBackend::Ideal;
   /// Precomp pool refill batch size (random OTs generated per refill). The
@@ -190,8 +177,8 @@ struct PartyOptions {
 /// std::invalid_argument naming `option`.
 void require_single_thread(std::size_t threads, const char* option);
 
-/// Role-scoped cross-run state: the plan cache, the cone memo and (under the
-/// IKNP backend) this role's half of the warm OT-extension state. One
+/// Role-scoped cross-run state: the plan cache and (under the IKNP backend)
+/// this role's half of the warm OT-extension state. One
 /// WarmState per party per long-lived pairing — Arm2Gc::Session owns one per
 /// role; a serving deployment owns one per connected client. Endpoints
 /// reference it for the duration of a run and reset the OT half on protocol
@@ -204,7 +191,7 @@ class WarmState {
  public:
   struct Options {
     std::size_t plan_cache_budget_bytes = 64u << 20;
-    std::size_t cone_memo_budget_bytes = 32u << 20;
+    std::size_t cone_memo_budget_bytes = 32u << 20;  ///< removed once perfbench/ stops naming it
     /// Iknp allocates the role's extension state; Precomp the role's
     /// random-OT pool (which embeds its own extension state); Ideal none.
     gc::OtBackend ot_backend = gc::OtBackend::Ideal;
@@ -222,7 +209,12 @@ class WarmState {
   [[nodiscard]] gc::OtBackend ot_backend() const { return opts_.ot_backend; }
   [[nodiscard]] std::size_t ot_pool() const { return opts_.ot_pool; }
   [[nodiscard]] const PlanCache& plan_cache() const { return plan_cache_; }
-  [[nodiscard]] const ConeMemo& cone_memo() const { return cone_memo_; }
+  /// An empty memo whose counters read 0; removed once perfbench/ stops
+  /// naming it.
+  [[nodiscard]] const ConeMemo& cone_memo() const {
+    static const ConeMemo kNone;
+    return kNone;
+  }
   [[nodiscard]] bool has_ot_state() const {
     return ot_sender_ != nullptr || ot_receiver_ != nullptr || otpre_sender_ != nullptr ||
            otpre_receiver_ != nullptr;
@@ -250,7 +242,6 @@ class WarmState {
   Role role_;
   Options opts_;
   PlanCache plan_cache_;
-  ConeMemo cone_memo_;
   std::unique_ptr<gc::IknpSenderState> ot_sender_;        ///< Garbler, Iknp backend
   std::unique_ptr<gc::IknpReceiverState> ot_receiver_;    ///< Evaluator, Iknp backend
   std::unique_ptr<gc::RandomOtPoolSender> otpre_sender_;  ///< Garbler, Precomp backend

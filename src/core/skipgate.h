@@ -32,20 +32,12 @@ enum class TransportKind : std::uint8_t {
 struct ExecOptions {
   TransportKind transport = TransportKind::InMemory;
   /// Reuse classification across cycles with identical public entry state.
-  /// false disables all plan reuse, including the cone memo (the
-  /// from-scratch baseline for differential tests).
+  /// false disables all plan reuse (the from-scratch baseline for
+  /// differential tests).
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
-  /// Cone-granular incremental planning: on whole-netlist cache misses,
-  /// stitch the plan from per-cone memo hits and re-classify only dirty
-  /// cones. Never changes results (every adopted cone is re-verified).
-  bool cone_memo = true;
-  std::size_t cone_memo_budget_bytes = 32u << 20;
-  /// Segmentation granularity (gates per cone, approximate; 0 = whole
-  /// netlist as one cone). Public; both parties derive the same layout.
-  std::size_t cone_target_gates = 512;
-  /// Optional externally owned per-role warm state (plan cache + cone memo +
-  /// IKNP extension state) persisting across runs — Arm2Gc::Session supplies
+  /// Optional externally owned per-role warm state (plan cache + IKNP
+  /// extension state) persisting across runs — Arm2Gc::Session supplies
   /// these. Role-scoped by construction: a Role::Garbler WarmState for the
   /// garbler slot, Role::Evaluator for the evaluator slot (endpoints reject
   /// a mismatch), so the two party threads can never share mutable state.
@@ -65,6 +57,9 @@ struct ExecOptions {
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   /// Must be 1; removed once perfbench drops it (require_single_thread).
   std::size_t threads = 1;
+  /// No effect (the planner has no cone memo or segmentation).
+  std::size_t cone_memo_budget_bytes = 32u << 20;  ///< removed once perfbench/ stops naming it
+  std::size_t cone_target_gates = 512;             ///< removed once perfbench/ stops naming it
 };
 
 struct RunOptions {

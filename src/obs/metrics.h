@@ -2,7 +2,7 @@
 // fixed-bucket latency histograms with percentile readout. This is the
 // measurement layer every ROADMAP item now blocks on (shard-scaling curves,
 // stitch-floor headroom, cold-vs-marginal query costs): write-cheap enough
-// to live on the per-slice session hot path, readable as a Prometheus text
+// to live on the per-cycle session hot path, readable as a Prometheus text
 // page from the serving layer (serve/ renders it; obs itself has no sockets).
 //
 // Design constraints, in order:
@@ -14,7 +14,7 @@
 //   - Instrumentation never changes results: nothing here touches the
 //     protocol, transports, sessions or any RNG. The planner-purity lint
 //     rule still EXCLUDES obs from core/plan.* — the public-values-only
-//     planning argument stays free of wall-clock state; slice execution is
+//     planning argument stays free of wall-clock state; plan execution is
 //     traced from the party sessions.
 //   - Compiled out entirely under -DARM2GC_OBS=OFF: the A2G_* macros expand
 //     to nothing and the classes become empty inline stubs, so a disabled

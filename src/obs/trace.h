@@ -1,7 +1,7 @@
 // Observability: scoped trace spans with a chrome://tracing JSON exporter.
 //
 // Tracing answers the question metrics can't: *where inside one run* the
-// wall-clock went — per schedule phase, per cone slice, per OT refill batch.
+// wall-clock went — per schedule phase and per OT refill batch.
 // Spans are recorded into per-thread buffers (own mutex each, so concurrent
 // threads never serialize on a global lock) and exported as a Chrome Trace
 // Event Format document ({"traceEvents":[{"ph":"X",...}]}) that loads

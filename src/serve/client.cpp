@@ -19,7 +19,6 @@ core::PartyOptions to_party_options(const ClientOptions& c) {
   o.private_seed = c.private_seed;
   o.ot_backend = c.ot_backend;
   o.ot_pool = c.ot_pool;
-  o.cone_target_gates = c.cone_target_gates;
   core::require_single_thread(c.threads, "ClientOptions::threads");
   return o;
 }
@@ -59,8 +58,8 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   // Protocol proper: the evaluator endpoint's ordinary blocking run. The
   // service re-bases its pooled WarmState's OT half on every release (warm
   // extension streams are pairing-specific), so a repeat client must
-  // re-base too: only the plan caches and cone memos carry across served
-  // runs, never the OT streams. A no-op when the state is already based.
+  // re-base too: only the plan cache carries across served runs, never the
+  // OT streams. A no-op when the state is already based.
   if (warm != nullptr) warm->reset_ot();
   core::EvaluatorEndpoint ev(nl, popts, sock->end(), warm);
   core::RunResult r = ev.run(bob_bits, pub_bits, streams);

@@ -51,7 +51,6 @@ struct ClientOptions {
   /// keeps served runs byte-identical to the in-process reference).
   std::optional<crypto::Block> private_seed;
   std::size_t threads = 1;  ///< must be 1; removed once perfbench drops it
-  std::size_t cone_target_gates = 512;
   int connect_timeout_ms = 10'000;
   /// Inline-wait deadline while the service garbles; <= 0 waits forever.
   int recv_timeout_ms = 60'000;

@@ -18,7 +18,7 @@
 //     kernel drains it; the transport's hard cap bounds the queue
 //     absolutely. Nothing ever buffers unboundedly.
 //   - WarmStates are pooled per (program, OT backend, pool size): a repeat
-//     client hits warm plan caches and cone memos. The OT half is re-based
+//     client hits warm plan caches. The OT half is re-based
 //     on every release — warm extension streams are pairing-specific, and
 //     a fresh client against an advanced stream would desync — which is
 //     also exactly the abort path, so a mid-protocol disconnect returns

@@ -6,10 +6,8 @@
 // through the full driver.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -19,7 +17,6 @@
 #include "core/plan.h"
 #include "core/skipgate.h"
 #include "crypto/rng.h"
-#include "programs/programs.h"
 #include "test_util.h"
 
 namespace {
@@ -34,29 +31,20 @@ using a2gtest::to_bits;
 void expect_plans_equal(const CyclePlan& x, const CyclePlan& y) {
   ASSERT_EQ(x.num_gates, y.num_gates);
   ASSERT_EQ(x.num_wires, y.num_wires);
-  ASSERT_EQ(x.num_slices, y.num_slices);
   EXPECT_EQ(x.emitted, y.emitted);
   EXPECT_EQ(x.is_final, y.is_final);
   EXPECT_EQ(x.sample, y.sample);
   EXPECT_EQ(0, std::memcmp(x.wire_bits, y.wire_bits, x.num_wires));
-  for (std::size_t si = 0; si < x.num_slices; ++si) {
-    const core::PlanSlice& a = x.slices[si];
-    const core::PlanSlice& b = y.slices[si];
-    ASSERT_EQ(a.first_gate, b.first_gate);
-    ASSERT_EQ(a.count, b.count);
-    EXPECT_EQ(0, std::memcmp(a.act, b.act, a.count));
-    EXPECT_EQ(0, std::memcmp(a.pass_src, b.pass_src, a.count * sizeof(netlist::WireId)));
-    EXPECT_EQ(0, std::memcmp(a.emit, b.emit, a.count));
-    EXPECT_EQ(0, std::memcmp(a.live, b.live, a.count));
-    // The work list is the iteration set the sessions actually execute;
-    // diverging lists would desynchronize the transport stream even with
-    // identical emit/live bytes.
-    ASSERT_EQ(a.work_count, b.work_count);
-    if (a.work_count > 0) {
-      ASSERT_NE(a.work, nullptr);
-      ASSERT_NE(b.work, nullptr);
-      EXPECT_EQ(0, std::memcmp(a.work, b.work, a.work_count * sizeof(std::uint32_t)));
-    }
+  EXPECT_EQ(0, std::memcmp(x.act, y.act, x.num_gates));
+  EXPECT_EQ(0, std::memcmp(x.pass_src, y.pass_src, x.num_gates * sizeof(netlist::WireId)));
+  EXPECT_EQ(0, std::memcmp(x.emit, y.emit, x.num_gates));
+  EXPECT_EQ(0, std::memcmp(x.live, y.live, x.num_gates));
+  // The work list is the iteration set the sessions actually execute;
+  // diverging lists would desynchronize the transport stream even with
+  // identical emit/live bytes.
+  ASSERT_EQ(x.work_count, y.work_count);
+  if (x.work_count > 0) {
+    EXPECT_EQ(0, std::memcmp(x.work, y.work, x.work_count * sizeof(std::uint32_t)));
   }
 }
 
@@ -311,14 +299,13 @@ TEST(PlanCache, ArmSessionWarmsAcrossExecutions) {
 }
 
 TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
-  // Coverage gap from PR 3: eviction *inside* a warm Arm2Gc::Session. A
-  // 1-byte budget clamps both stores to their capacity floors (4 plans /
-  // 8 cones), far below what one ARM run classifies, so every run churns
-  // the LRU and later runs re-enter states whose entries were evicted —
-  // and whose cones were re-admitted under fresh slice ids. Results must
-  // stay exact across >= 3 runs (stale-slice adoption after eviction would
-  // corrupt outputs or the garbled count/digest), hit ratios must stay
-  // sane, and the stores must stay at their bounds.
+  // Eviction *inside* a warm Arm2Gc::Session. A 1-byte budget clamps the
+  // plan cache to its 4-entry floor, far below what one ARM run classifies,
+  // so every run churns the LRU and later runs re-enter states whose
+  // entries were evicted. Results must stay exact across >= 3 runs (a stale
+  // entry served after eviction would corrupt outputs or the garbled
+  // count/digest), hit ratios must stay sane, and the cache must stay at
+  // its bound.
   const auto prog = arm::assemble(
       "ldr r4, [r0]\n"
       "ldr r5, [r1]\n"
@@ -337,7 +324,6 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
 
   core::WarmState::Options tiny;
   tiny.plan_cache_budget_bytes = 1;  // capacity floor: 4 entries
-  tiny.cone_memo_budget_bytes = 1;   // capacity floor: 8 entries
   core::WarmState gwarm(core::Role::Garbler, tiny);
   core::WarmState ewarm(core::Role::Evaluator, tiny);
   core::ExecOptions exec;
@@ -358,10 +344,8 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
     const double hr = r.stats.plan_cache_hit_ratio();
     EXPECT_GE(hr, 0.0);
     EXPECT_LT(hr, 1.0) << "run " << i;
-    EXPECT_LE(r.stats.cone_hit_ratio(), 1.0);
     hit_ratios.push_back(hr);
     EXPECT_LE(gwarm.plan_cache().entries(), gwarm.plan_cache().capacity());
-    EXPECT_LE(gwarm.cone_memo().entries(), gwarm.cone_memo().capacity());
   }
   // Monotone-sane trajectory: warm runs never do worse than the cold first
   // run, and the deterministic churn reaches a steady state (the repeating
@@ -372,9 +356,7 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
   EXPECT_DOUBLE_EQ(hit_ratios[2], hit_ratios[1]);
   EXPECT_DOUBLE_EQ(hit_ratios[3], hit_ratios[2]);
   EXPECT_EQ(gwarm.plan_cache().capacity(), 4u);
-  EXPECT_EQ(gwarm.cone_memo().capacity(), 8u);
   EXPECT_GT(gwarm.plan_cache().evictions(), 0u);
-  EXPECT_GT(gwarm.cone_memo().evictions(), 0u);
 }
 
 TEST(PlanCache, XorRelationAmongRootsDoesNotAliasStates) {
@@ -450,8 +432,6 @@ TEST(PlanCache, RejectsReuseAcrossNetlists) {
   EXPECT_THROW(Planner p2(nl2, opts), std::invalid_argument);
 }
 
-// --- cone-granular incremental planning ----------------------------------------
-
 /// Builds a netlist whose entry state is controlled by a `width`-bit
 /// streamed public selector mixed with party secrets, so each selector
 /// value is a distinct entry state with a non-trivial plan.
@@ -501,117 +481,7 @@ TEST(PlanCache, LruEvictionBoundsEntries) {
   EXPECT_EQ(cache.evictions(), 5u);
 }
 
-TEST(ConeMemo, LruEvictionBoundsEntries) {
-  // Same structure at cone granularity: a 1-byte budget clamps to the
-  // 8-entry floor; the 16 distinct selector states keep only the last 8.
-  const netlist::Netlist nl = selector_netlist(4);
-  core::ConeMemo memo(1);  // capacity floor of 8
-  PlannerOptions opts;
-  opts.cache = false;  // exercise the memo on every cycle
-  opts.shared_cone_memo = &memo;
-  Planner planner(nl, opts);
-  planner.reset({});
-
-  const auto drive = [&](std::uint64_t v) {
-    planner.begin_cycle(to_bits(v, 4));
-    planner.forward();
-    (void)planner.finish(/*is_final=*/false);
-  };
-  ASSERT_EQ(planner.layout().segments.size(), 1u);
-  for (std::uint64_t v = 0; v < 16; ++v) drive(v);
-  EXPECT_EQ(memo.capacity(), 8u);
-  EXPECT_EQ(memo.entries(), 8u);
-  EXPECT_EQ(memo.evictions(), 8u);
-  EXPECT_EQ(planner.cone_hits(), 0u);
-  EXPECT_EQ(planner.cone_misses(), 16u);
-
-  for (std::uint64_t v = 15; v >= 8; --v) drive(v);  // the retained eight
-  EXPECT_EQ(planner.cone_hits(), 8u);
-  EXPECT_EQ(memo.evictions(), 8u);
-  drive(0);  // evicted: reclassified and re-admitted, evicting the LRU
-  EXPECT_EQ(planner.cone_hits(), 8u);
-  EXPECT_EQ(planner.cone_misses(), 17u);
-  EXPECT_EQ(memo.entries(), 8u);
-  EXPECT_EQ(memo.evictions(), 9u);
-}
-
-/// `chains` independent selector chains, each built as its own contiguous
-/// run of gates over its own secrets and its own `width`-bit streamed public
-/// selector — so a small cone target cuts several segments per netlist and
-/// each chain's selector value picks its segments' memo keys independently.
-netlist::Netlist multi_selector_netlist(std::uint32_t chains, std::uint32_t width) {
-  builder::CircuitBuilder cb;
-  for (std::uint32_t k = 0; k < chains; ++k) {
-    const builder::Wire a = cb.input(netlist::Owner::Alice, k);
-    const builder::Wire b = cb.input(netlist::Owner::Bob, k);
-    builder::Wire acc = cb.and_(a, b);
-    for (std::uint32_t i = 0; i < width; ++i) {
-      const builder::Wire s = cb.input(netlist::Owner::Public, k * width + i, /*streamed=*/true);
-      acc = cb.and_(cb.xor_(acc, s), cb.or_(a, s));
-    }
-    cb.output(acc, std::string(1, static_cast<char>('a' + k)));
-  }
-  cb.set_outputs_every_cycle(true);
-  return cb.take();
-}
-
-TEST(ConeMemo, LruPolicyUnderPressureAcrossSegments) {
-  // A saturated memo on a multi-segment netlist, as on MatrixMult3x3 warm
-  // runs (every cone miss evicts). Within one cycle every dirty segment
-  // probes the memo first; the cycle's LRU touches and inserts are then
-  // committed in ascending segment order. So a segment may hit an entry
-  // that an earlier segment's insert evicts in the same cycle. The exact
-  // per-cycle counter sequence below changes if that policy changes.
-  constexpr std::uint32_t kChains = 4;
-  constexpr std::uint32_t kWidth = 2;
-  const netlist::Netlist nl = multi_selector_netlist(kChains, kWidth);
-  core::ConeMemo memo(1);  // capacity floor of 8
-  PlannerOptions opts;
-  opts.cache = false;  // exercise the memo on every cycle
-  opts.shared_cone_memo = &memo;
-  opts.cone_target_gates = 4;
-  Planner planner(nl, opts);
-  planner.reset({});
-  ASSERT_GT(planner.layout().segments.size(), 4u);
-
-  crypto::CtrRng rng(crypto::block_from_u64(161803));
-  std::vector<std::array<std::uint64_t, 3>> seen;
-  for (int cycle = 0; cycle < 40; ++cycle) {
-    planner.begin_cycle(to_bits(rng.next_u64(), kChains * kWidth));
-    planner.forward();
-    planner.latch(planner.finish(/*is_final=*/false));
-    seen.push_back({planner.cone_hits(), planner.cone_misses(), memo.evictions()});
-  }
-  const std::vector<std::array<std::uint64_t, 3>> expected = {
-      {0, 5, 0}, {0, 10, 2}, {0, 15, 7}, {3, 17, 9}, {6, 19, 11}, {7, 23, 15}, {9, 26, 18},
-      {10, 30, 22}, {11, 34, 26}, {11, 39, 31}, {11, 44, 36}, {13, 47, 39}, {15, 50, 42},
-      {16, 54, 46}, {16, 59, 51}, {18, 62, 54}, {18, 67, 59}, {18, 72, 64}, {18, 77, 69},
-      {18, 82, 74}, {18, 87, 79}, {19, 91, 83}, {19, 96, 88}, {22, 98, 90}, {24, 101, 93},
-      {25, 105, 97}, {25, 110, 102}, {28, 112, 104}, {32, 113, 105}, {32, 118, 110},
-      {32, 123, 115}, {33, 127, 119}, {34, 131, 123}, {35, 135, 127}, {37, 138, 130},
-      {39, 141, 133}, {39, 146, 138}, {40, 150, 142}, {44, 151, 143}, {45, 155, 147},
-  };
-  EXPECT_EQ(seen, expected);
-  EXPECT_EQ(memo.entries(), memo.capacity());
-}
-
-TEST(ConeMemo, RejectsReuseAcrossNetlistsAndLayouts) {
-  crypto::CtrRng rng(crypto::block_from_u64(27182));
-  const netlist::Netlist nl1 = random_seq_netlist(rng);
-  netlist::Netlist nl2 = nl1;
-  nl2.gates.push_back(netlist::Gate{netlist::kConst0, netlist::kConst1, netlist::kTtAnd});
-  core::ConeMemo memo;
-  PlannerOptions opts;
-  opts.shared_cone_memo = &memo;
-  Planner p1(nl1, opts);
-  EXPECT_THROW(Planner p2(nl2, opts), std::invalid_argument);
-  // Same netlist, different segmentation: also a different plan contract.
-  PlannerOptions finer = opts;
-  finer.cone_target_gates = 4;
-  EXPECT_THROW(Planner p3(nl1, finer), std::invalid_argument);
-}
-
-TEST(ConeMemo, WarmStateIsRoleScoped) {
+TEST(WarmState, IsRoleScoped) {
   const netlist::Netlist nl = selector_netlist(3);
   core::WarmState gwarm(core::Role::Garbler);
 
@@ -635,15 +505,19 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 }
 
 /// Differential fuzz (both party sides): randomized sequential netlists
-/// driven through randomized public-input sequences; the incremental
-/// (cone-stitched, segmented) plan must be byte-equal to a from-scratch
-/// plan on every cycle. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer
-/// job runs a deeper pass).
-TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
+/// driven through randomized public-input sequences. The garbler-side and
+/// evaluator-side planners each hold a tiny PlanCache (1-byte budget: the
+/// 4-entry floor), so the sweep crosses cache hits, hit re-verification and
+/// LRU evictions; every cycle's plan must be byte-equal to an uncached
+/// reference. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer job runs a
+/// deeper pass).
+TEST(PlanCacheDifferentialFuzz, CachedPlansByteEqualUncachedEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
   constexpr std::uint64_t kCycles = 20;
   constexpr std::uint32_t kStreamedPub = 3;
+  std::uint64_t hits = 0;
+  std::uint64_t evictions = 0;
 
   for (int seed = 0; seed < seeds; ++seed) {
     crypto::CtrRng rng(crypto::block_from_u64(static_cast<std::uint64_t>(seed) * 65537 + 11));
@@ -655,17 +529,19 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
     }
 
     for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
-      PlannerOptions inc;
-      inc.mode = mode;
-      inc.cone_target_gates = 4;  // force several segments on small netlists
-      PlannerOptions fresh = inc;
+      core::PlanCache gcache(1);  // first-sight admission, capacity floor of 4
+      core::PlanCache ecache(1);
+      PlannerOptions gopts;
+      gopts.mode = mode;
+      gopts.shared_cache = &gcache;
+      PlannerOptions eopts = gopts;
+      eopts.shared_cache = &ecache;
+      PlannerOptions fresh;
+      fresh.mode = mode;
       fresh.cache = false;
-      fresh.cone_memo = false;
 
-      // Garbler-side and evaluator-side incremental planners (independent
-      // instances fed identical public data) plus a from-scratch reference.
-      Planner pg(nl, inc);
-      Planner pe(nl, inc);
+      Planner pg(nl, gopts);
+      Planner pe(nl, eopts);
       Planner pf(nl, fresh);
       pg.reset(pub);
       pe.reset(pub);
@@ -691,81 +567,16 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
           pf.latch(c);
         }
       }
-      ASSERT_GT(pg.layout().segments.size(), 1u) << "seed " << seed;
-      EXPECT_GT(pg.cone_hits() + pg.cone_misses(), 0u) << "seed " << seed;
-      EXPECT_EQ(pg.cone_hits(), pe.cone_hits()) << "seed " << seed;
+      EXPECT_EQ(pg.cache_hits() + pg.cache_misses(), kCycles) << "seed " << seed;
+      EXPECT_EQ(pg.cache_hits(), pe.cache_hits()) << "seed " << seed;
+      EXPECT_EQ(gcache.evictions(), ecache.evictions()) << "seed " << seed;
+      EXPECT_LE(gcache.entries(), gcache.capacity());
+      hits += pg.cache_hits();
+      evictions += gcache.evictions();
     }
   }
-}
-
-TEST(ConeMemo, DriverResultsIdenticalWithConeMemoOnAndOff) {
-  // Acceptance pin: the full protocol produces bit-identical outputs,
-  // garbled_non_xor counts and communication bytes with cone memoization
-  // enabled vs disabled, on randomized sequential circuits with per-cycle
-  // public inputs (so whole-netlist cache misses occur and cones matter).
-  crypto::CtrRng rng(crypto::block_from_u64(515253));
-  for (int seed = 0; seed < 4; ++seed) {
-    const netlist::Netlist nl = random_seq_netlist(rng, 2);
-    const netlist::BitVec a = to_bits(rng.next_u64(), 4);
-    const netlist::BitVec b = to_bits(rng.next_u64(), 4);
-    const netlist::BitVec p = to_bits(rng.next_u64(), 4);
-    const std::uint64_t pub_word = rng.next_u64();
-    core::StreamProvider streams;
-    streams.pub = [&](std::uint64_t c) { return to_bits(pub_word >> (2 * c), 2); };
-
-    for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
-      core::RunOptions on;
-      on.mode = mode;
-      on.fixed_cycles = 12;
-      on.exec.cone_target_gates = 4;
-      core::RunOptions off = on;
-      off.exec.cone_memo = false;
-
-      const core::RunResult r_on = core::SkipGateDriver(nl, on).run(a, b, p, &streams);
-      const core::RunResult r_off = core::SkipGateDriver(nl, off).run(a, b, p, &streams);
-      EXPECT_EQ(r_on.sampled_outputs, r_off.sampled_outputs);
-      EXPECT_EQ(r_on.final_outputs, r_off.final_outputs);
-      EXPECT_EQ(r_on.stats.garbled_non_xor, r_off.stats.garbled_non_xor);
-      EXPECT_EQ(r_on.stats.skipped_non_xor, r_off.stats.skipped_non_xor);
-      EXPECT_EQ(r_on.stats.comm.total(), r_off.stats.comm.total());
-      EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
-    }
-  }
-}
-
-TEST(ConeMemo, ArmConeHitsOnCyclesTheFlatCacheMissed) {
-  // The headline scenario (an ARM loop workload): a cold run's cycles are
-  // distinct whole-netlist entry states — loop iterations differ in the
-  // public counter — so the flat PlanCache misses on every cycle, but most
-  // of the 42k-gate core's cones recur across iterations and stitch from
-  // the memo.
-  const programs::Program prog = programs::hamming(2);
-  const arm::Arm2Gc machine(prog.cfg, prog.words);
-  const std::vector<std::uint32_t> a = {0xDEADBEEFu, 0x0F0F0F0Fu};
-  const std::vector<std::uint32_t> b = {0x12345678u, 0xFF00FF00u};
-  const arm::Arm2GcResult expect = machine.run_reference(a, b);
-
-  core::ExecOptions cone_on;
-  core::ExecOptions cone_off;
-  cone_off.cone_memo = false;
-  const arm::Arm2GcResult r_on =
-      machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_on);
-  const arm::Arm2GcResult r_off =
-      machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_off);
-
-  EXPECT_EQ(r_on.outputs, expect.outputs);
-  EXPECT_EQ(r_on.outputs, r_off.outputs);
-  EXPECT_EQ(r_on.cycles, r_off.cycles);
-  EXPECT_EQ(r_on.stats.garbled_non_xor, r_off.stats.garbled_non_xor);
-  EXPECT_EQ(r_on.stats.comm.total(), r_off.stats.comm.total());
-  // The transient flat cache misses on every first-seen state (the loop
-  // counter makes every cycle's whole-netlist state distinct)...
-  EXPECT_GT(r_on.stats.plan_cache_misses, 0u);
-  // ...and the cone memo converts most of each missed cycle's cones into
-  // cone hits.
-  EXPECT_GT(r_on.stats.cone_hits, 0u);
-  EXPECT_GT(r_on.stats.cone_hit_ratio(), 0.4);  // measured 0.49 (deterministic)
-  EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(evictions, 0u);
 }
 
 }  // namespace
