@@ -40,14 +40,6 @@ void set_backend_label(benchmark::State& state, bool uses_aesni) {
   state.SetLabel(uses_aesni ? "aesni" : "portable");
 }
 
-void set_scheme_label(benchmark::State& state, gc::Scheme scheme) {
-  switch (scheme) {
-    case gc::Scheme::HalfGates: state.SetLabel("halfgates"); break;
-    case gc::Scheme::Grr3: state.SetLabel("grr3"); break;
-    case gc::Scheme::Classic4: state.SetLabel("classic4"); break;
-  }
-}
-
 }  // namespace
 
 static void BM_Aes128Encrypt(benchmark::State& state) {
@@ -104,10 +96,9 @@ static void BM_PiHash4(benchmark::State& state) {
 }
 BENCHMARK(BM_PiHash4)->Arg(0)->Arg(1);
 
-/// Garbled AND gates per second, per scheme (runtime-dispatched backend).
+/// Garbled half-gates AND gates per second (runtime-dispatched backend).
 static void BM_Garble(benchmark::State& state) {
-  const auto scheme = static_cast<gc::Scheme>(state.range(0));
-  gc::Garbler g(crypto::block_from_u64(4), scheme);
+  gc::Garbler g(crypto::block_from_u64(4));
   const crypto::Block a0 = g.fresh_label();
   const crypto::Block b0 = g.fresh_label();
   const netlist::AndCore core = netlist::tt_and_core(netlist::kTtAnd);
@@ -115,15 +106,13 @@ static void BM_Garble(benchmark::State& state) {
     gc::GarbledTable t;
     benchmark::DoNotOptimize(g.garble(a0, b0, core, t));
   }
-  set_scheme_label(state, scheme);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Garble)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Garble);
 
-/// Evaluated AND gates per second, per scheme.
+/// Evaluated half-gates AND gates per second.
 static void BM_Eval(benchmark::State& state) {
-  const auto scheme = static_cast<gc::Scheme>(state.range(0));
-  gc::Garbler g(crypto::block_from_u64(5), scheme);
+  gc::Garbler g(crypto::block_from_u64(5));
   const crypto::Block a0 = g.fresh_label();
   const crypto::Block b0 = g.fresh_label();
   gc::GarbledTable t;
@@ -133,14 +122,13 @@ static void BM_Eval(benchmark::State& state) {
   // longer matches the table, but the per-gate hash work — what this bench
   // measures — is identical, and rebuilding an evaluator per iteration would
   // measure the AES key schedule instead.
-  gc::Evaluator ev(scheme);
+  gc::Evaluator ev;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ev.eval(a0, b0, t));
   }
-  set_scheme_label(state, scheme);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Eval)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Eval);
 
 /// 128xN bit-transpose throughput (the IKNP column->row pivot).
 /// arg0: 0 = portable kernel, 1 = dispatched (SSE2 when compiled in).

@@ -61,10 +61,9 @@ std::vector<std::uint32_t> Arm2Gc::decode_output_bits(
 
 Arm2GcResult Arm2Gc::run(std::span<const std::uint32_t> alice,
                          std::span<const std::uint32_t> bob, std::uint64_t max_cycles,
-                         gc::Scheme scheme, const core::ExecOptions& exec) const {
+                         gc::Scheme /*scheme*/, const core::ExecOptions& exec) const {
   core::RunOptions opts;
   opts.mode = core::Mode::SkipGate;
-  opts.scheme = scheme;
   opts.halt_wire = cpu_.halt_wire;
   opts.max_cycles = max_cycles;
   opts.exec = exec;
@@ -117,17 +116,16 @@ Arm2Gc::Session::Session(const Arm2Gc& machine, core::ExecOptions exec)
 }
 
 Arm2GcResult Arm2Gc::Session::run(std::span<const std::uint32_t> alice,
-                                  std::span<const std::uint32_t> bob, std::uint64_t max_cycles,
-                                  gc::Scheme scheme) {
-  return machine_->run(alice, bob, max_cycles, scheme, exec_);
+                                  std::span<const std::uint32_t> bob,
+                                  std::uint64_t max_cycles) {
+  return machine_->run(alice, bob, max_cycles, /*scheme=*/{}, exec_);
 }
 
 core::PartyOptions Arm2Gc::party_options(core::Role role, std::uint64_t max_cycles,
-                                         gc::Scheme scheme,
+                                         gc::Scheme /*scheme*/,
                                          const core::ExecOptions& exec) const {
   core::RunOptions opts;
   opts.mode = core::Mode::SkipGate;
-  opts.scheme = scheme;
   opts.halt_wire = cpu_.halt_wire;
   opts.max_cycles = max_cycles;
   opts.exec = exec;

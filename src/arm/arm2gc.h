@@ -36,11 +36,12 @@ class Arm2Gc {
 
   /// Executes the two-party protocol (SkipGate mode, halt-driven). `exec`
   /// selects transport and plan-cache tuning; results are identical across
-  /// all tunings, only wall-clock and memory differ.
+  /// all tunings, only wall-clock and memory differ. `scheme` is ignored
+  /// (half-gates is the only scheme); removed once perfbench/ stops naming it.
   [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                  std::span<const std::uint32_t> bob,
                                  std::uint64_t max_cycles = 1u << 20,
-                                 gc::Scheme scheme = gc::Scheme::HalfGates,
+                                 gc::Scheme scheme = {},
                                  const core::ExecOptions& exec = {}) const;
 
   /// Executes with conventional GC (every gate garbled) for exactly
@@ -63,9 +64,10 @@ class Arm2Gc {
   /// Expands driver-style tuning into one role's endpoint options for this
   /// machine (SkipGate mode, halt-driven on the CPU's halt wire). Adjust
   /// private_seed on the result before a real two-process deployment.
+  /// `scheme` is ignored; removed once perfbench/ stops naming it.
   [[nodiscard]] core::PartyOptions party_options(core::Role role,
                                                  std::uint64_t max_cycles = 1u << 20,
-                                                 gc::Scheme scheme = gc::Scheme::HalfGates,
+                                                 gc::Scheme scheme = {},
                                                  const core::ExecOptions& exec = {}) const;
 
   /// Single-role runs over an external transport (e.g. a TCP socket to a
@@ -108,8 +110,7 @@ class Arm2Gc {
 
     [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                    std::span<const std::uint32_t> bob,
-                                   std::uint64_t max_cycles = 1u << 20,
-                                   gc::Scheme scheme = gc::Scheme::HalfGates);
+                                   std::uint64_t max_cycles = 1u << 20);
 
     [[nodiscard]] core::WarmState& garbler_warm() { return garbler_warm_; }
     [[nodiscard]] core::WarmState& evaluator_warm() { return evaluator_warm_; }

@@ -32,8 +32,7 @@ struct TgRun {
   std::vector<std::uint64_t> results;
   core::RunStats stats;
 };
-TgRun run_instance(const TgInstance& inst, core::Mode mode,
-                   gc::Scheme scheme = gc::Scheme::HalfGates);
+TgRun run_instance(const TgInstance& inst, core::Mode mode);
 
 /// Bit-serial addition of two nbits-wide values (1-bit full adder + carry FF).
 TgInstance tg_sum(std::size_t nbits, const netlist::BitVec& a, const netlist::BitVec& b);

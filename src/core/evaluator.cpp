@@ -1,7 +1,5 @@
 #include "core/evaluator.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -15,17 +13,14 @@ using netlist::Owner;
 using netlist::WireId;
 }  // namespace
 
-EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
-                                   Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
+EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, Block seed,
+                                   gc::Transport& tx, gc::OtBackend ot_backend,
                                    gc::IknpReceiverState* warm_ot,
                                    gc::RandomOtPoolReceiver* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
-      scheme_(scheme),
-      eval_(scheme),
       tx_(&tx),
-      ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      trace_(std::getenv("A2G_TRACE") != nullptr) {
+      ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)) {
   lb_.resize(nl_.num_wires());
   lb_valid_.assign(nl_.num_wires(), 0);
   // Sized here as well as in ot_reset() so a reset() without its ot_reset()
@@ -157,12 +152,10 @@ void EvaluatorSession::begin_cycle() {
   ot_->finish();
 }
 
-void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
+void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   const WireId first_gate = nl_.first_gate_wire();
   const bool conventional = mode_ == Mode::Conventional;
-
   gc::GarbledTable table;
-  table.count = static_cast<std::uint8_t>(gc::blocks_per_gate(scheme_));
 
   // SkipGate plans carry an explicit work list of their live gates;
   // Conventional mode processes every gate. Skipped gates keep stale labels,
@@ -210,20 +203,13 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
           lb_valid_[w] = 0;
           break;
         }
-        tx_->recv(table.rows.data(), table.count);
-        for (std::uint8_t t = 0; t < table.count; ++t) {
-          table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-        }
+        tx_->recv(table.rows.data(), table.rows.size());
+        for (const Block& row : table.rows) table_digest_ = table_digest_.gf_double() ^ row;
         if (!lb_valid_[g.a] || !lb_valid_[g.b]) {
           throw std::logic_error("skipgate: evaluator missing label for a needed gate");
         }
         lb_[w] = eval_.eval(lb_[g.a], lb_[g.b], table);
         lb_valid_[w] = 1;
-        if (trace_) {
-          std::fprintf(stderr, "emit cycle=%llu gate=%zu a=%u b=%u tt=%d\n",
-                       static_cast<unsigned long long>(cycle), i, g.a, g.b,
-                       static_cast<int>(g.tt));
-        }
         break;
       }
     }

@@ -30,8 +30,8 @@ class EvaluatorSession {
   /// `seed` feeds only the OT receiver's randomness (domain-separated); the
   /// evaluator holds no label-generating state. `warm_ot` (optional, IKNP
   /// only) carries base-OT state across runs of one pairing.
-  EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
-                   gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+  EvaluatorSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
+                   gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                    gc::IknpReceiverState* warm_ot = nullptr,
                    gc::RandomOtPoolReceiver* warm_ot_pool = nullptr,
                    std::size_t ot_pool = gc::kDefaultOtPoolBatch);
@@ -54,10 +54,9 @@ class EvaluatorSession {
   /// ot_begin).
   void begin_cycle();
 
-  /// Runs the evaluator label pass over the plan's slices in order,
+  /// Runs the evaluator label pass over the plan's gates in order,
   /// receiving each garbled table just before evaluating it.
-  /// `cycle` is used for trace output only (A2G_TRACE).
-  void eval_cycle(const CyclePlan& plan, std::uint64_t cycle);
+  void eval_cycle(const CyclePlan& plan);
 
   /// Sends this cycle's secret output labels for decoding.
   void send_outputs(const CyclePlan& plan);
@@ -92,7 +91,6 @@ class EvaluatorSession {
 
   const netlist::Netlist& nl_;
   Mode mode_;
-  gc::Scheme scheme_;
   gc::Evaluator eval_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtReceiver> ot_;
@@ -104,7 +102,6 @@ class EvaluatorSession {
   std::vector<std::uint8_t> dff_lb_valid_;
   crypto::Block const_lb_[2];
   crypto::Block table_digest_{};
-  bool trace_;
 };
 
 }  // namespace arm2gc::core

@@ -16,13 +16,13 @@ constexpr Block kZeroBlock{};
 Block maybe(Block b, bool take) { return take ? b : kZeroBlock; }
 }  // namespace
 
-GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
-                               Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
+GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, Block seed,
+                               gc::Transport& tx, gc::OtBackend ot_backend,
                                gc::IknpSenderState* warm_ot,
                                gc::RandomOtPoolSender* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
-      garbler_(seed, scheme),
+      garbler_(seed),
       tx_(&tx),
       ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)) {
   la_.resize(nl_.num_wires());
@@ -121,11 +121,7 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const WireId first_gate = nl_.first_gate_wire();
   const Block r = garbler_.R();
-  // Only Classic4 reads a fresh output label; the row-reduced schemes derive
-  // theirs from the input labels, so they skip the extra AES call.
-  const bool classic4 = garbler_.scheme() == gc::Scheme::Classic4;
   const bool conventional = mode_ == Mode::Conventional;
-  ++cycle_epoch_;
 
   // SkipGate plans carry an explicit work list of their live gates;
   // Conventional mode processes every gate.
@@ -161,14 +157,9 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
       case PlanAct::Garble: {
         if (!plan.emit[i]) break;  // dead garbled gate: never built nor sent
         gc::GarbledTable table;
-        const Block fresh = classic4 ? garbler_.derived_label(cycle_epoch_, i) : Block{};
-        la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt),
-                                    garbler_.tweak_cursor(), fresh, table);
-        garbler_.advance(1);
-        tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
-        for (std::uint8_t t = 0; t < table.count; ++t) {
-          table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-        }
+        la_[w] = garbler_.garble(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt), table);
+        tx_->send(table.rows.data(), table.rows.size(), gc::Traffic::GarbledTable);
+        for (const Block& row : table.rows) table_digest_ = table_digest_.gf_double() ^ row;
         break;
       }
     }

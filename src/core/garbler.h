@@ -31,8 +31,8 @@ class GarblerSession {
   /// Precomp counterpart (the random-OT pool, which embeds its own base
   /// state) and `ot_pool` sizes a fresh Precomp pool when no warm one is
   /// handed in.
-  GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
-                 gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+  GarblerSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
+                 gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                  gc::IknpSenderState* warm_ot = nullptr,
                  gc::RandomOtPoolSender* warm_ot_pool = nullptr,
                  std::size_t ot_pool = gc::kDefaultOtPoolBatch);
@@ -45,7 +45,7 @@ class GarblerSession {
   /// Installs root labels for a cycle and binds streamed inputs.
   void begin_cycle(const netlist::BitVec& alice_stream, const netlist::BitVec& pub_stream);
 
-  /// Runs the garbler label pass over the plan's slices in order, sending
+  /// Runs the garbler label pass over the plan's gates in order, sending
   /// each garbled table as soon as it is built.
   void garble_cycle(const CyclePlan& plan);
 
@@ -84,9 +84,6 @@ class GarblerSession {
   std::vector<crypto::Block> dff_la_;
   crypto::Block const_la_[2];
   crypto::Block table_digest_{};
-  /// Per-cycle domain for Classic4 derived output labels (advanced every
-  /// garble_cycle, never reset): labels are functions of (epoch, gate).
-  std::uint64_t cycle_epoch_ = 0;
 };
 
 }  // namespace arm2gc::core

@@ -160,7 +160,7 @@ GarblerEndpoint::GarblerEndpoint(const netlist::Netlist& nl, const PartyOptions&
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Garbler)),
       tx_(&tx),
       planner_(nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr)),
-      session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.scheme, opts.own_seed(), tx,
+      session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.own_seed(), tx,
                                                 opts.ot_backend,
                                                 warm ? warm->ot_sender_.get() : nullptr,
                                                 warm ? warm->otpre_sender_.get() : nullptr,
@@ -287,7 +287,7 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       tx_(&tx),
       planner_(std::make_unique<Planner>(
           nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr))),
-      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
+      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.own_seed(),
                                                   tx, opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
@@ -303,7 +303,7 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Evaluator)),
       tx_(&tx),
       leader_(&leader),
-      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
+      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.own_seed(),
                                                   tx, opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
@@ -367,7 +367,7 @@ bool EvaluatorEndpoint::work(std::uint64_t cycle) {
   }
   {
     A2G_SPAN("evaluator.eval", "party");
-    session_->eval_cycle(plan_, cycle);
+    session_->eval_cycle(plan_);
   }
   stats_.cycles++;
   stats_.non_xor_slots += non_free;

@@ -14,7 +14,7 @@
 //   - its role's label session (GarblerSession / EvaluatorSession) seeded
 //     from the party's own `private_seed`,
 //   - its half of the OT state (sender / receiver endpoint).
-// Cross-run state (plan cache, cone memo, warm IKNP extension state) lives
+// Cross-run state (plan cache, warm IKNP / Precomp OT state) lives
 // in a role-scoped WarmState handle the caller owns; an endpoint is
 // otherwise a single-execution object.
 //
@@ -134,12 +134,11 @@ struct RunResult {
 };
 
 /// Everything one endpoint needs to know to run its role. The protocol
-/// fields (mode, scheme, cycle schedule, protocol_seed, ot_backend, ot_pool)
+/// fields (mode, cycle schedule, protocol_seed, ot_backend, ot_pool)
 /// must match the peer's; private_seed and the plan-cache tuning are the
 /// party's own business.
 struct PartyOptions {
   Mode mode = Mode::SkipGate;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   /// Run exactly this many cycles (sequential circuits with a known schedule).
   std::optional<std::uint64_t> fixed_cycles;
   /// Public wire that announces termination (the processor's halt signal);

@@ -140,7 +140,6 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
   (void)role;  // the expansion is role-symmetric; the role picks the endpoint
   PartyOptions p;
   p.mode = opts.mode;
-  p.scheme = opts.scheme;
   p.fixed_cycles = opts.fixed_cycles;
   p.halt_wire = opts.halt_wire;
   p.max_cycles = opts.max_cycles;

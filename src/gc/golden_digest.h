@@ -1,5 +1,5 @@
 // Golden-digest fixture: garbles a fixed, deterministic gate sequence and
-// digests the resulting table bytes, per scheme. Shared by tests/gc_test.cpp
+// digests the resulting half-gates table bytes. Shared by tests/gc_test.cpp
 // (which pins the expected hex values) and tools/golden_capture.cpp (which
 // regenerates them) so the two computations cannot drift apart.
 #pragma once
@@ -12,7 +12,7 @@
 
 namespace arm2gc::gc {
 
-inline std::string golden_table_digest(Scheme scheme) {
+inline std::string golden_table_digest() {
   const netlist::TruthTable non_affine[] = {
       netlist::kTtAnd,      netlist::kTtNand,     netlist::kTtOr,
       netlist::kTtNor,      netlist::kTtAndANotB, netlist::kTtNotAAndB,
@@ -22,7 +22,7 @@ inline std::string golden_table_digest(Scheme scheme) {
   const auto mix = [](crypto::Block acc, crypto::Block v) {
     return acc.gf_double() ^ v;
   };
-  Garbler g(crypto::block_from_u64(0xa26c0de), scheme);
+  Garbler g(crypto::block_from_u64(0xa26c0de));
   crypto::Block a0 = g.fresh_label();
   crypto::Block b0 = g.fresh_label();
   crypto::Block acc{};
@@ -30,7 +30,7 @@ inline std::string golden_table_digest(Scheme scheme) {
     GarbledTable t;
     const crypto::Block out =
         g.garble(a0, b0, netlist::tt_and_core(non_affine[i % 8]), t);
-    for (std::uint8_t k = 0; k < t.count; ++k) acc = mix(acc, t.rows[k]);
+    for (const crypto::Block& row : t.rows) acc = mix(acc, row);
     acc = mix(acc, out);
     // Chain labels so later gates depend on earlier outputs.
     a0 = b0;

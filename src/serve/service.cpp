@@ -224,8 +224,13 @@ struct GarblerService::Impl {
       spec = impl.find_program(name, &f);
       if (spec == nullptr) return HelloStatus::UnknownProgram;
       facts = *f;
-      if (h.scheme > static_cast<std::uint8_t>(gc::Scheme::Classic4) ||
-          h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp)) {
+      // Reserved bytes must be zero. ot_pool sizes the first Precomp refill,
+      // allocated before the client sends anything else, so it is bounded.
+      bool reserved_clear = h.reserved0 == 0;
+      for (const std::uint8_t b : h.reserved) reserved_clear = reserved_clear && b == 0;
+      if (!reserved_clear ||
+          h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp) ||
+          h.ot_pool == 0 || h.ot_pool > kMaxOtPool) {
         return HelloStatus::OptionMismatch;
       }
       // The cycle schedule and the public seed are part of the registered
@@ -237,7 +242,6 @@ struct GarblerService::Impl {
         return HelloStatus::OptionMismatch;
       }
       popts = spec->opts;
-      popts.scheme = static_cast<gc::Scheme>(h.scheme);
       popts.ot_backend = static_cast<gc::OtBackend>(h.ot_backend);
       popts.ot_pool = static_cast<std::size_t>(h.ot_pool);
       return HelloStatus::Ok;

@@ -46,7 +46,7 @@ namespace arm2gc::serve {
 /// protocol contract. The netlist, streams and name are caller-owned and
 /// must outlive the service. `opts` carries the schedule (fixed_cycles /
 /// halt_wire / max_cycles), the public seed and the service's private seed;
-/// scheme and OT backend are per-client (adopted from each hello).
+/// the OT backend and pool size are per-client (adopted from each hello).
 struct ProgramSpec {
   std::string name;
   const netlist::Netlist* nl = nullptr;

@@ -21,6 +21,10 @@ inline constexpr std::uint64_t kSummaryMagic = 0x61326763'73756d6dull;  // "a2gc
 inline constexpr std::uint32_t kWireVersion = 1;
 /// Program names longer than this are rejected before any allocation.
 inline constexpr std::uint32_t kMaxProgramName = 256;
+/// Largest Precomp refill batch a hello may ask for. A refill holds 2n
+/// 16-byte pads on the garbler before the client sends anything else, so
+/// this caps what one hello can make the service allocate (2 MiB).
+inline constexpr std::uint64_t kMaxOtPool = 1u << 16;
 
 /// Service verdict on a hello; anything but Ok is followed by the service
 /// closing the connection.
@@ -47,7 +51,7 @@ enum class HelloStatus : std::uint32_t {
 
 /// Client -> service, first bytes on the connection; `name_len` bytes of
 /// program name follow the struct. The protocol fields the two endpoints
-/// must agree on all travel here: the service adopts scheme/OT choices per
+/// must agree on all travel here: the service adopts the OT choices per
 /// client (so one service instance serves every backend) but insists the
 /// cycle schedule and public seed match the registered spec — a silent
 /// mismatch there would desync the planners mid-protocol instead of
@@ -56,10 +60,10 @@ struct HelloRequest {
   std::uint64_t magic = kHelloMagic;
   std::uint32_t version = kWireVersion;
   std::uint32_t name_len = 0;
-  std::uint8_t scheme = 0;      ///< gc::Scheme
-  std::uint8_t ot_backend = 0;  ///< gc::OtBackend
-  std::uint8_t reserved[6] = {};
-  std::uint64_t ot_pool = 0;
+  std::uint8_t reserved0 = 0;     ///< must be 0 (was the scheme byte; 0 = half-gates)
+  std::uint8_t ot_backend = 0;    ///< gc::OtBackend
+  std::uint8_t reserved[6] = {};  ///< must be 0
+  std::uint64_t ot_pool = 0;      ///< in [1, kMaxOtPool]
   std::uint64_t fixed_cycles = 0;  ///< 0 = halt-driven under max_cycles
   std::uint64_t max_cycles = 0;
   std::uint8_t protocol_seed[16] = {};

@@ -107,17 +107,24 @@ TEST(CliTools, BadNumericFlagsExitTwoBeforeAnyWork) {
   EXPECT_EQ(exit_status(serve + " --mode client --connect 127.0.0.1:1 --program sum32 "
                                 "--input 1 --runs 12abc"),
             2);
+  // serve::kMaxOtPool + 1: the pool bound the service enforces at the door.
+  EXPECT_EQ(exit_status(serve + " --mode client --connect 127.0.0.1:1 --program sum32 "
+                                "--input 1 --ot-pool 65537"),
+            2);
 }
 
 TEST(CliTools, ThreadFlagsAreGone) {
-  // Each party runs serially, so neither tool accepts a thread count.
-  EXPECT_EQ(exit_status(std::string(ARM2GC_PARTY_BIN) +
-                        " --role local --program sum32 --alice 1 --bob 1 --threads 1"),
-            2);
-  EXPECT_EQ(exit_status(std::string(ARM2GC_SERVE_BIN) +
-                        " --mode serve --listen 127.0.0.1:0 --program sum32 --input 1 "
-                        "--exec-threads 1"),
-            2);
+  // Each party runs serially, so neither tool accepts a thread count; and
+  // half-gates is the only garbling scheme, so neither accepts --scheme, not
+  // even naming the one scheme there is.
+  const std::string party =
+      std::string(ARM2GC_PARTY_BIN) + " --role local --program sum32 --alice 1 --bob 1";
+  const std::string serve = std::string(ARM2GC_SERVE_BIN) +
+                            " --mode serve --listen 127.0.0.1:0 --program sum32 --input 1";
+  EXPECT_EQ(exit_status(party + " --threads 1"), 2);
+  EXPECT_EQ(exit_status(serve + " --exec-threads 1"), 2);
+  EXPECT_EQ(exit_status(party + " --scheme halfgates"), 2);
+  EXPECT_EQ(exit_status(serve + " --scheme halfgates"), 2);
 }
 
 TEST(CliTools, GoodFlagsStillRun) {

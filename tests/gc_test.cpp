@@ -23,31 +23,23 @@ TEST(Garbler, PointAndPermuteOffset) {
   EXPECT_FALSE(g.R().is_zero());
 }
 
-struct SchemeCase {
-  Scheme scheme;
-  int tt;
-};
-
-class GarbleAllGates : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class GarbleAllGates : public ::testing::TestWithParam<int> {};
 
 TEST_P(GarbleAllGates, GarbleEvalMatchesTruthTable) {
-  const Scheme scheme = static_cast<Scheme>(std::get<0>(GetParam()));
-  const auto tt = static_cast<TruthTable>(std::get<1>(GetParam()));
+  const auto tt = static_cast<TruthTable>(GetParam());
   if (tt_is_affine(tt)) return;  // affine gates are free, never garbled
 
-  Garbler garbler(block_from_u64(99), scheme);
-  Evaluator evaluator(scheme);
+  Garbler garbler(block_from_u64(99));
   const Block r = garbler.R();
   const Block a0 = garbler.fresh_label();
   const Block b0 = garbler.fresh_label();
 
   GarbledTable table;
   const Block w0 = garbler.garble(a0, b0, tt_and_core(tt), table);
-  EXPECT_EQ(table.count, blocks_per_gate(scheme));
 
   for (const bool va : {false, true}) {
     for (const bool vb : {false, true}) {
-      Evaluator ev(scheme);  // fresh tweak sequence per evaluation
+      Evaluator ev;  // fresh tweak sequence per evaluation
       const Block wa = va ? (a0 ^ r) : a0;
       const Block wb = vb ? (b0 ^ r) : b0;
       const Block w = ev.eval(wa, wb, table);
@@ -58,8 +50,7 @@ TEST_P(GarbleAllGates, GarbleEvalMatchesTruthTable) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSchemesAllGates, GarbleAllGates,
-                         ::testing::Combine(::testing::Values(0, 1, 2), ::testing::Range(0, 16)));
+INSTANTIATE_TEST_SUITE_P(AllGates, GarbleAllGates, ::testing::Range(0, 16));
 
 TEST(Garble, ChainedGatesStayConsistent) {
   // Garble a small DAG: d = (a & b) ^ c ; e = d | a  (the XOR is free).
@@ -144,19 +135,7 @@ TEST(Ot, IdealBackendDeliversChosenLabelsAndAccountsFramedBytes) {
 // single ciphertext bit fails here, on every machine and either AES backend.
 // The digest computation is shared with the capture tool (gc/golden_digest.h).
 TEST(Garble, GoldenTableDigestsStableAcrossBackends) {
-  struct GoldenCase {
-    Scheme scheme;
-    const char* digest;
-  };
-  const GoldenCase cases[] = {
-      {Scheme::HalfGates, "9dbcdbc3bf700c2b83007da5d07655ad"},
-      {Scheme::Grr3, "7b828da9d4a0bbcea0995baf5f340f31"},
-      {Scheme::Classic4, "1f0ef1f72151a3fd21be9e71edf3597e"},
-  };
-  for (const GoldenCase& c : cases) {
-    EXPECT_EQ(golden_table_digest(c.scheme), c.digest)
-        << "scheme=" << static_cast<int>(c.scheme);
-  }
+  EXPECT_EQ(golden_table_digest(), "9dbcdbc3bf700c2b83007da5d07655ad");
 }
 
 TEST(Garble, DistinctSeedsDistinctLabels) {

@@ -1,5 +1,5 @@
-// Targeted tests for the planner's XOR-cancellation peephole (DESIGN.md
-// §4.1): public-select multiplexers must release the unselected side's label
+// Targeted tests for the planner's XOR-cancellation peephole (see
+// core/plan.h): public-select multiplexers must release the unselected side's label
 // from the needed-cone, and must never change results — including when the
 // select is secret, when branches alias, and across pass/DFF boundaries.
 #include <gtest/gtest.h>

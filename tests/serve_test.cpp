@@ -441,6 +441,40 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
     EXPECT_EQ(e.status(), serve::HelloStatus::OptionMismatch);
   }
 
+  // The Precomp pool size is bounded at the door: the first refill would
+  // allocate 2 * ot_pool pads before the client sends anything else.
+  for (const std::uint64_t pool : {std::uint64_t{0}, serve::kMaxOtPool + 1}) {
+    co = adder_client_opts(gc::OtBackend::Precomp, static_cast<std::size_t>(pool));
+    try {
+      (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
+      FAIL() << "expected OptionMismatch for ot_pool=" << pool;
+    } catch (const serve::ServiceRejected& e) {
+      EXPECT_EQ(e.status(), serve::HelloStatus::OptionMismatch);
+    }
+  }
+
+  // A raw hello that is valid except where `corrupt` touches it.
+  const auto raw_hello = [&](const std::function<void(serve::HelloRequest&)>& corrupt) {
+    auto sock = gc::SocketDuplex::connect("127.0.0.1", service.port());
+    serve::HelloRequest h;
+    h.name_len = 6;
+    h.ot_pool = 16;
+    h.fixed_cycles = 1;
+    h.max_cycles = core::PartyOptions{}.max_cycles;
+    core::kDefaultProtocolSeed.to_bytes(h.protocol_seed);
+    corrupt(h);
+    sock->send_control(&h, sizeof h);
+    sock->send_control("adder8", 6);
+    serve::HelloReply reply{};
+    sock->recv_control(&reply, sizeof reply);
+    return static_cast<serve::HelloStatus>(reply.status);
+  };
+  // The old scheme byte is reserved now; so are the six padding bytes.
+  EXPECT_EQ(raw_hello([](serve::HelloRequest& h) { h.reserved0 = 1; }),
+            serve::HelloStatus::OptionMismatch);
+  EXPECT_EQ(raw_hello([](serve::HelloRequest& h) { h.reserved[5] = 0x80; }),
+            serve::HelloStatus::OptionMismatch);
+
   // A non-client peer: 64 zero bytes where the hello should be.
   {
     auto sock = gc::SocketDuplex::connect("127.0.0.1", service.port());
@@ -451,9 +485,18 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
     EXPECT_EQ(static_cast<serve::HelloStatus>(reply.status), serve::HelloStatus::BadMagic);
   }
 
+  // None of the rejections leaves the service worse off: a clean client
+  // still gets the reference result.
+  const core::RunResult ref =
+      adder_reference(nl, gc::OtBackend::Ideal, 16, to_bits(1, 8), to_bits(2, 8));
+  expect_matches_reference(serve::run_client("127.0.0.1", service.port(), nl,
+                                             adder_client_opts(gc::OtBackend::Ideal, 16),
+                                             to_bits(2, 8)),
+                           ref);
+
   service.stop();
-  EXPECT_EQ(service.stats().hello_rejected, 3u);
-  EXPECT_EQ(service.stats().runs_ok, 0u);
+  EXPECT_EQ(service.stats().hello_rejected, 7u);
+  EXPECT_EQ(service.stats().runs_ok, 1u);
 }
 
 /// A client dying mid-protocol — right after the hello, or after pushing a

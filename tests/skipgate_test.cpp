@@ -437,17 +437,14 @@ TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryRandomCircuits) {
     const netlist::Netlist nl = cb.take();
     const netlist::BitVec av = to_bits(rng.next_u64(), 8);
     const netlist::BitVec bv = to_bits(rng.next_u64(), 8);
-    for (const auto scheme : {gc::Scheme::HalfGates, gc::Scheme::Grr3, gc::Scheme::Classic4}) {
-      RunOptions opts;
-      opts.fixed_cycles = 1;
-      opts.scheme = scheme;
-      RunOptions topts = opts;
-      topts.exec.transport = core::TransportKind::ThreadedPipe;
-      topts.exec.pipe_blocks = 64;  // force backpressure on a real circuit
-      const RunResult mem = SkipGateDriver(nl, opts).run(av, bv);
-      const RunResult piped = SkipGateDriver(nl, topts).run(av, bv);
-      expect_results_identical(mem, piped);
-    }
+    RunOptions opts;
+    opts.fixed_cycles = 1;
+    RunOptions topts = opts;
+    topts.exec.transport = core::TransportKind::ThreadedPipe;
+    topts.exec.pipe_blocks = 64;  // force backpressure on a real circuit
+    const RunResult mem = SkipGateDriver(nl, opts).run(av, bv);
+    const RunResult piped = SkipGateDriver(nl, topts).run(av, bv);
+    expect_results_identical(mem, piped);
   }
 }
 
@@ -474,22 +471,17 @@ TEST(SkipGateTransport, LongRunKeepsTransportMemoryBounded) {
   EXPECT_LE(piped.stats.transport_high_water_blocks, 256u);
 }
 
-TEST(SkipGate, GarblingSchemesAllWork) {
+TEST(SkipGate, HalfGatesTablesAreTwoBlocks) {
   CircuitBuilder cb;
   const Bus a = cb.input_bus(netlist::Owner::Alice, 8, 0);
   const Bus b = cb.input_bus(netlist::Owner::Bob, 8, 0);
   cb.output_bus(mul_lower(cb, a, b, 8));
   const netlist::Netlist nl = cb.take();
-  for (const auto scheme : {gc::Scheme::HalfGates, gc::Scheme::Grr3, gc::Scheme::Classic4}) {
-    RunOptions opts;
-    opts.fixed_cycles = 1;
-    opts.scheme = scheme;
-    SkipGateDriver driver(nl, opts);
-    const RunResult r = driver.run(to_bits(13, 8), to_bits(11, 8));
-    EXPECT_EQ(from_bits(r.final_outputs, 0, 8), (13u * 11u) & 0xFFu);
-    EXPECT_EQ(r.stats.comm.garbled_table_bytes,
-              r.stats.garbled_non_xor * 16 * gc::blocks_per_gate(scheme));
-  }
+  RunOptions opts;
+  opts.fixed_cycles = 1;
+  const RunResult r = SkipGateDriver(nl, opts).run(to_bits(13, 8), to_bits(11, 8));
+  EXPECT_EQ(from_bits(r.final_outputs, 0, 8), (13u * 11u) & 0xFFu);
+  EXPECT_EQ(r.stats.comm.garbled_table_bytes, r.stats.garbled_non_xor * 32);
 }
 
 }  // namespace

@@ -54,7 +54,6 @@ struct Args {
   std::vector<std::uint32_t> alice;  ///< local-role inputs
   std::vector<std::uint32_t> bob;
   std::uint64_t max_cycles = 1u << 20;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   gc::OtBackend ot = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   crypto::Block seed = core::kDefaultProtocolSeed;
@@ -71,7 +70,7 @@ struct Args {
                "  --program <builtin|file.s>    builtins: sum32 compare32 mult32 hamming160\n"
                "  --input w,w,...               this party's private words\n"
                "  --alice w,... --bob w,...     local-role inputs\n"
-               "  [--max-cycles N] [--scheme halfgates|grr3|classic4]\n"
+               "  [--max-cycles N]\n"
                "  [--ot ideal|iknp|precomp]     precomp banks random OTs off the online\n"
                "                                path and derandomizes online choices\n"
                "  [--ot-pool N]                 precomp refill target in random OTs\n"
@@ -133,17 +132,6 @@ Args parse_args(int argc, char** argv) {
       a.bob = kFlags.words(f, next(i));
     } else if (f == "--max-cycles") {
       a.max_cycles = kFlags.uint(f, next(i));
-    } else if (f == "--scheme") {
-      const std::string v = next(i);
-      if (v == "halfgates") {
-        a.scheme = gc::Scheme::HalfGates;
-      } else if (v == "grr3") {
-        a.scheme = gc::Scheme::Grr3;
-      } else if (v == "classic4") {
-        a.scheme = gc::Scheme::Classic4;
-      } else {
-        usage("unknown scheme");
-      }
     } else if (f == "--ot") {
       const std::string v = next(i);
       if (v == "ideal") {
@@ -278,7 +266,7 @@ int run_local(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  const arm::Arm2GcResult r = machine.run(a.alice, a.bob, a.max_cycles, a.scheme, exec);
+  const arm::Arm2GcResult r = machine.run(a.alice, a.bob, a.max_cycles, /*scheme=*/{}, exec);
   std::printf("role=local\n");
   print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.outputs,
                 r.stats.table_digest, r.stats.comm);
@@ -308,8 +296,9 @@ int run_party(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  core::PartyOptions opts = machine.party_options(
-      is_garbler ? core::Role::Garbler : core::Role::Evaluator, a.max_cycles, a.scheme, exec);
+  core::PartyOptions opts =
+      machine.party_options(is_garbler ? core::Role::Garbler : core::Role::Evaluator,
+                            a.max_cycles, /*scheme=*/{}, exec);
   opts.protocol_seed = a.seed;
   // This process's own randomness: never shipped, never shared. The default
   // (protocol seed) keeps runs byte-identical to the in-process driver.

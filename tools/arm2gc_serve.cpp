@@ -52,7 +52,6 @@ struct Args {
   std::string connect;
   std::vector<ProgramArg> programs;  ///< serve: many; client: exactly one
   std::uint64_t max_cycles = 1u << 20;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   gc::OtBackend ot = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   std::size_t max_clients = 64;
@@ -78,8 +77,7 @@ struct Args {
                "          [--metrics-port N] [--metrics-host H] [--stats-interval-ms N]\n"
                "  client: --connect host:port --program <builtin> --input w,w,...\n"
                "          [--ot ideal|iknp|precomp] [--ot-pool N] [--runs N]\n"
-               "  common: [--max-cycles N] [--scheme halfgates|grr3|classic4]\n"
-               "          [--json <path>] [--trace <path>]\n");
+               "  common: [--max-cycles N] [--json <path>] [--trace <path>]\n");
   std::exit(2);
 }
 
@@ -132,19 +130,8 @@ Args parse_args(int argc, char** argv) {
       a.runs = kFlags.uint(f, next(i));
       if (a.runs == 0) usage("--runs must be nonzero");
     } else if (f == "--ot-pool") {
-      a.ot_pool = kFlags.uint(f, next(i));
+      a.ot_pool = kFlags.uint(f, next(i), serve::kMaxOtPool);
       if (a.ot_pool == 0) usage("--ot-pool must be nonzero");
-    } else if (f == "--scheme") {
-      const std::string v = next(i);
-      if (v == "halfgates") {
-        a.scheme = gc::Scheme::HalfGates;
-      } else if (v == "grr3") {
-        a.scheme = gc::Scheme::Grr3;
-      } else if (v == "classic4") {
-        a.scheme = gc::Scheme::Classic4;
-      } else {
-        usage("unknown scheme");
-      }
     } else if (f == "--ot") {
       const std::string v = next(i);
       if (v == "ideal") {
@@ -192,8 +179,7 @@ int run_serve(const Args& a) {
     r.machine = std::make_unique<arm::Arm2Gc>(prog.cfg, prog.words);
     r.spec.name = pa.name;
     r.spec.nl = &r.machine->cpu().nl;
-    r.spec.opts =
-        r.machine->party_options(core::Role::Garbler, a.max_cycles, a.scheme);
+    r.spec.opts = r.machine->party_options(core::Role::Garbler, a.max_cycles);
     r.spec.alice_bits = r.machine->alice_input_bits(pa.input);
     registered.push_back(std::move(r));
     specs.push_back(registered.back().spec);
@@ -255,7 +241,6 @@ int run_client(const Args& a) {
 
   serve::ClientOptions co;
   co.program = pa.name;
-  co.scheme = a.scheme;
   co.ot_backend = a.ot;
   co.ot_pool = a.ot_pool;
   co.halt_wire = machine.cpu().halt_wire;

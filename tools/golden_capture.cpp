@@ -1,5 +1,5 @@
-// One-off tool: prints a digest of the garbled tables produced by a fixed,
-// deterministic gate sequence, per scheme. Used to pin bit-identical garbling
+// One-off tool: prints a digest of the half-gates tables produced by a
+// fixed, deterministic gate sequence. Used to pin bit-identical garbling
 // across the crypto refactor (the digest is hardcoded in tests/gc_test.cpp).
 // The digest computation itself lives in gc/golden_digest.h, shared with the
 // test so tool and test cannot drift.
@@ -10,10 +10,6 @@
 using namespace arm2gc;
 
 int main() {
-  for (const gc::Scheme scheme :
-       {gc::Scheme::HalfGates, gc::Scheme::Grr3, gc::Scheme::Classic4}) {
-    std::printf("scheme=%d digest=%s\n", static_cast<int>(scheme),
-                gc::golden_table_digest(scheme).c_str());
-  }
+  std::printf("digest=%s\n", gc::golden_table_digest().c_str());
   return 0;
 }
