@@ -114,13 +114,12 @@ int main(int argc, char** argv) {
                 num(r.stats.non_xor_slots).c_str());
   }
 
-  benchutil::header("Ablation 5: transport overlap (wall-clock)");
+  benchutil::header("Ablation 5: transport cost (wall-clock)");
   {
-    // Warm sessions over the lock-step in-memory duplex vs the threaded
-    // bounded pipe. Wall-clock is the figure of merit here: the pipe's
-    // garbler/evaluator overlap only shows as a wall win with >= 2 cores
-    // (on 1 vCPU it shows as per-party CPU reduction instead) — run this on
-    // a multi-core host / CI for the overlap number.
+    // Warm runs over the lock-step in-memory duplex vs a real TCP loopback
+    // connection. Wall-clock is the figure of merit here: the socket row
+    // runs the two parties on two threads, which can overlap garbling with
+    // evaluation only with >= 2 cores — run this on a multi-core host / CI.
     const programs::Program p = programs::hamming(5);
     std::vector<std::uint32_t> a(5), b(5);
     for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
@@ -128,22 +127,14 @@ int main(int argc, char** argv) {
     const arm::Arm2Gc machine(p.cfg, p.words);
 
     arm::Arm2Gc::Session lockstep(machine);
-    core::ExecOptions pipe_exec;
-    pipe_exec.transport = core::TransportKind::ThreadedPipe;
-    arm::Arm2Gc::Session piped(machine, pipe_exec);
     (void)lockstep.run(a, b);  // warm the caches before timing
-    (void)piped.run(a, b);
     const double warm_lock = best_wall_ms(5, [&] { (void)lockstep.run(a, b); });
-    const double warm_pipe = best_wall_ms(5, [&] { (void)piped.run(a, b); });
     std::printf("warm session, lock-step in-memory: %7.2f ms\n", warm_lock);
-    std::printf("warm session, threaded pipe:       %7.2f ms (wall; hw_concurrency=%u)\n",
-                warm_pipe, std::thread::hardware_concurrency());
 
     // Socket transport on localhost: the two party endpoints over a real TCP
     // connection (two threads in one process; the exact code path of
     // tools/arm2gc_party, including connection setup per run). The delta to
-    // the threaded pipe is the kernel socket cost; the delta to lock-step is
-    // overlap minus that cost.
+    // lock-step is the kernel socket cost minus any two-core overlap.
     core::WarmState socket_gwarm(core::Role::Garbler);
     core::WarmState socket_ewarm(core::Role::Evaluator);
     auto socket_once = [&] {
@@ -173,12 +164,12 @@ int main(int argc, char** argv) {
     };
     socket_once();  // warm the caches and base state before timing
     const double warm_socket = best_wall_ms(5, socket_once);
-    std::printf("warm session, TCP socket loopback: %7.2f ms (wall; two endpoints)\n",
-                warm_socket);
+    std::printf("warm session, TCP socket loopback: %7.2f ms (wall; two endpoints; "
+                "hw_concurrency=%u)\n",
+                warm_socket, std::thread::hardware_concurrency());
 
     if (benchutil::json().enabled()) {
       benchutil::json().add("hamming160.warm_session_ms_lockstep", warm_lock);
-      benchutil::json().add("hamming160.warm_session_ms_threaded_pipe_wall", warm_pipe);
       benchutil::json().add("hamming160.warm_session_ms_socket_loopback_wall", warm_socket);
       benchutil::json().add("hardware_concurrency",
                             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
@@ -186,11 +177,11 @@ int main(int argc, char** argv) {
       // the recording host's core count.
       benchutil::json().add(
           "multicore_note",
-          std::string("the threaded-pipe and socket-loopback rows run the two parties on two "
-                      "threads, so they can overlap garbling with evaluation only when "
-                      "hardware_concurrency (recorded above) is at least 2; below that they "
-                      "time-slice one core and show the transport's cost without its overlap. "
-                      "Each party itself runs serially."));
+          std::string("the socket-loopback row runs the two parties on two threads, so it "
+                      "can overlap garbling with evaluation only when hardware_concurrency "
+                      "(recorded above) is at least 2; below that the threads time-slice one "
+                      "core and the row shows the transport's cost without overlap. Each "
+                      "party itself runs serially."));
     }
   }
 

@@ -34,10 +34,11 @@ class Arm2Gc {
   /// construction happens once; runs reuse it.
   Arm2Gc(MemoryConfig cfg, std::vector<std::uint32_t> program);
 
-  /// Executes the two-party protocol (SkipGate mode, halt-driven). `exec`
-  /// selects transport and plan-cache tuning; results are identical across
-  /// all tunings, only wall-clock and memory differ. `scheme` is ignored
-  /// (half-gates is the only scheme); removed once perfbench/ stops naming it.
+  /// Executes the two-party protocol (SkipGate mode, halt-driven) in
+  /// process, lock-step over the in-memory duplex. `exec` selects OT backend
+  /// and plan-cache tuning; results are identical across all tunings, only
+  /// wall-clock and memory differ. `scheme` is ignored (half-gates is the
+  /// only scheme); removed once perfbench/ stops naming it.
   [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                  std::span<const std::uint32_t> bob,
                                  std::uint64_t max_cycles = 1u << 20,
@@ -102,7 +103,7 @@ class Arm2Gc {
   /// rebuilding the session. Not thread-safe; use one Session per worker.
   class Session {
    public:
-    /// `exec` seeds transport/budget tuning; `plan_cache` is forced on, and
+    /// `exec` seeds OT-backend/budget tuning; `plan_cache` is forced on, and
     /// the session's own per-role WarmState (plan cache and, for the Iknp
     /// backend, OT extension state) fills each warm slot the caller
     /// left null (caller-supplied ones are used as given).

@@ -71,14 +71,13 @@ struct RunStats {
   /// Always 0 (the planner has no cone memo).
   std::uint64_t cone_hits = 0;    ///< removed once perfbench/ stops naming it
   std::uint64_t cone_misses = 0;  ///< removed once perfbench/ stops naming it
-  /// Peak undelivered transport backlog, in 16-byte blocks (in-process
-  /// duplexes only; a socket endpoint reports 0).
+  /// Peak undelivered transport backlog, in 16-byte blocks (the in-memory
+  /// duplex only; a socket endpoint reports 0).
   std::uint64_t transport_high_water_blocks = 0;
   /// OT subsystem counters. In a single-endpoint run they come from this
   /// role's OT endpoint (the two sides' ledgers are identical by
   /// construction); the in-process lock-step driver reports the garbler's
-  /// counts with both roles' ot_wall_ns summed, the threaded driver reports
-  /// the garbler's alone.
+  /// counts with both roles' ot_wall_ns summed.
   std::uint64_t ot_choices = 0;
   std::uint64_t ot_batches = 0;
   std::uint64_t ot_base_ots = 0;  ///< base OTs run this execution (0 when warm)
@@ -112,10 +111,10 @@ struct RunStats {
 
 /// Per-cycle bit provider for streamed inputs (bit-serial circuits). Index i
 /// must cover every Input with streamed=true and bit_index==i of that owner.
-/// When the two endpoints run on different threads (threaded pipe) or in
-/// different processes, the callbacks are invoked from each party's own
-/// context (pub from both; alice from the garbler, bob from the evaluator)
-/// and must be pure functions of the cycle index.
+/// When the two endpoints run on different threads or in different
+/// processes (each over its own socket end), the callbacks are invoked from
+/// each party's own context (pub from both; alice from the garbler, bob
+/// from the evaluator) and must be pure functions of the cycle index.
 struct StreamProvider {
   std::function<netlist::BitVec(std::uint64_t cycle)> alice;
   std::function<netlist::BitVec(std::uint64_t cycle)> bob;
@@ -249,9 +248,9 @@ class WarmState {
 
 // The two endpoints share one stepwise schedule; the hook split exists so
 // the in-process lock-step driver can interleave the two roles on a single
-// thread over a non-blocking duplex. Over a blocking transport (socket,
-// threaded pipe) call run() and never touch the hooks. Cross-party ordering
-// contract (what run() performs for one role, the lock-step driver for two):
+// thread over a non-blocking duplex. Over a blocking transport (a socket)
+// call run() and never touch the hooks. Cross-party ordering contract
+// (what run() performs for one role, the lock-step driver for two):
 //
 //   E.start_request  ->  G.start  ->  E.start_finish
 //   per cycle:

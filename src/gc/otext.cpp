@@ -29,7 +29,7 @@ constexpr std::uint64_t kCheckTweakTag = 3ull << 62;
 
 // Every receiver batch opens with one clear header block so the sender can
 // validate the pairing *before* deciding how many blocks to read — a state
-// mismatch must throw, never block a threaded transport on bytes that will
+// mismatch must throw, never block a socket peer on bytes that will
 // not come. lo = magic ^ fresh-flag; hi = (batch ordinal << 32) | m.
 constexpr std::uint64_t kHeaderMagic = 0x4f542d6261746368ull;  // "OT-batch"
 

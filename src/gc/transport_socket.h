@@ -1,12 +1,12 @@
 // TCP socket transport: one party's gc::Transport over a blocking stream
-// socket, carrying exactly the framed block bytes the in-memory duplexes
-// specify ("frames are a batching hint, not a datagram boundary; the byte
+// socket, carrying exactly the framed block bytes the in-memory duplex
+// specifies ("frames are a batching hint, not a datagram boundary; the byte
 // stream is what is specified" — gc/transport.h). This redeems that header's
 // promise: two separate OS processes running one endpoint each produce
 // byte-identical outputs, garbled-table digests and per-class comm counts to
 // the in-process driver (tools/arm2gc_party + tests pin it).
 //
-// Accounting matches the in-memory duplexes exactly — send() accounts 16*n
+// Accounting matches the in-memory duplex exactly — send() accounts 16*n
 // bytes to its traffic class, account() adds protocol extras — so
 // garbler.sent() + evaluator.sent() of a socket run equals
 // InMemoryDuplex::stats() of the identical in-process run. The wire carries
@@ -18,8 +18,8 @@
 // request/response pattern would otherwise stall on delayed ACKs.
 //
 // Teardown: peer EOF/reset — or a local close() — surfaces as
-// gc::TransportClosed out of send/recv, the same type the in-process drivers
-// use to tell a teardown echo from a party's real failure.
+// gc::TransportClosed out of send/recv, the type callers use to tell a
+// teardown echo from a party's real failure.
 //
 // Non-blocking mode (set_nonblocking) serves the event-loop garbler service:
 // try_flush() drains as much of the write buffer as the kernel accepts and

@@ -2,7 +2,7 @@
 // drop-in for the ideal-functionality stand-in. Pinned here:
 //   - the 128xN bit transpose (SSE vs portable vs naive, ragged N included);
 //   - endpoint-level correctness: received labels equal x0 ^ b*R for every
-//     index, over both the lock-step in-memory duplex and the threaded pipe,
+//     index, over both the lock-step in-memory duplex and a socketpair,
 //     across multiple batches of one warm state pair;
 //   - full-driver equivalence: SkipGate + Conventional runs produce
 //     bit-identical results and golden garbled-table digests under either
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -132,8 +131,7 @@ TEST(OtExt, IknpDeliversChosenLabelsAcrossBatches) {
   run_iknp_batches({160, 3, 300, 8}, 3);
 }
 
-TEST(OtExt, IknpOverThreadedPipe) {
-  gc::ThreadedPipeDuplex duplex(256);
+TEST(OtExt, IknpOverSocketPair) {
   const Block seed = block_from_u64(42);
   gc::Garbler g(block_from_u64(4242));
   const Block r = g.R();
@@ -141,33 +139,34 @@ TEST(OtExt, IknpOverThreadedPipe) {
   std::vector<Block> x0(kM);
   for (auto& b : x0) b = g.fresh_label();
 
-  std::thread sender_thread([&] {
-    auto sender = gc::make_ot_sender(gc::OtBackend::Iknp, duplex.garbler_end(), seed, nullptr);
-    for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
-    sender->flush();
-    for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
-    sender->flush();
-  });
-
-  auto receiver =
-      gc::make_ot_receiver(gc::OtBackend::Iknp, duplex.evaluator_end(), seed, nullptr);
-  crypto::CtrRng rng(block_from_u64(777));
-  for (int batch = 0; batch < 2; ++batch) {
-    std::vector<bool> choice(kM);
-    std::vector<Block> got(kM);
-    for (std::size_t j = 0; j < kM; ++j) {
-      choice[j] = rng.next_bool();
-      receiver->enqueue(choice[j], &got[j]);
-    }
-    receiver->request();
-    receiver->finish();
-    for (std::size_t j = 0; j < kM; ++j) {
-      const Block lo = batch == 0 ? x0[j] : x0[j] ^ r;
-      const Block hi = batch == 0 ? x0[j] ^ r : x0[j];
-      EXPECT_TRUE(got[j] == (choice[j] ? hi : lo)) << "batch=" << batch << " j=" << j;
-    }
-  }
-  sender_thread.join();
+  (void)a2gtest::run_two_threads(
+      [&](gc::Transport& tx) {
+        auto sender = gc::make_ot_sender(gc::OtBackend::Iknp, tx, seed, nullptr);
+        for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
+        sender->flush();
+        for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
+        sender->flush();
+      },
+      [&](gc::Transport& tx) {
+        auto receiver =
+            gc::make_ot_receiver(gc::OtBackend::Iknp, tx, seed, nullptr);
+        crypto::CtrRng rng(block_from_u64(777));
+        for (int batch = 0; batch < 2; ++batch) {
+          std::vector<bool> choice(kM);
+          std::vector<Block> got(kM);
+          for (std::size_t j = 0; j < kM; ++j) {
+            choice[j] = rng.next_bool();
+            receiver->enqueue(choice[j], &got[j]);
+          }
+          receiver->request();
+          receiver->finish();
+          for (std::size_t j = 0; j < kM; ++j) {
+            const Block lo = batch == 0 ? x0[j] : x0[j] ^ r;
+            const Block hi = batch == 0 ? x0[j] ^ r : x0[j];
+            EXPECT_TRUE(got[j] == (choice[j] ? hi : lo)) << "batch=" << batch << " j=" << j;
+          }
+        }
+      });
 }
 
 // --- framed-byte accounting -----------------------------------------------------
@@ -392,18 +391,17 @@ TEST(OtExt, BackendsBitIdenticalAcrossModesAndTransports) {
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const core::TransportKind tk :
-           {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+      for (const bool over_socketpair : {false, true}) {
         core::RunOptions ideal;
         ideal.mode = mode;
         ideal.fixed_cycles = 7;
-        ideal.exec.transport = tk;
         core::RunOptions iknp = ideal;
         iknp.exec.ot_backend = gc::OtBackend::Iknp;
 
         const core::RunResult ri =
-            core::SkipGateDriver(nl, ideal).run(a, b, p, &streams);
-        const core::RunResult rk = core::SkipGateDriver(nl, iknp).run(a, b, p, &streams);
+            a2gtest::two_party_run(over_socketpair, nl, ideal, a, b, p, &streams);
+        const core::RunResult rk =
+            a2gtest::two_party_run(over_socketpair, nl, iknp, a, b, p, &streams);
         expect_same_protocol(ri, rk);
         EXPECT_EQ(rk.stats.ot_base_ots, rk.stats.ot_choices > 0 ? gc::kOtKappa : 0u)
             << "seed " << seed;
@@ -477,16 +475,27 @@ TEST(OtExt, ArmRunsIdenticalAndSessionAmortizesBaseOts) {
     EXPECT_EQ(r.stats.ot_choices, 32u);
   }
 
-  // Same warm amortization over the threaded pipe: the sender state lives on
-  // the garbler thread, the receiver state on the evaluator thread.
-  core::ExecOptions piped = iknp;
-  piped.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped_session(machine, piped);
+  // Same warm amortization with the endpoints on two threads, one fresh
+  // socketpair per run: the sender state lives on the garbler thread, the
+  // receiver state on the evaluator thread.
+  core::WarmState::Options warm_opts;
+  warm_opts.ot_backend = gc::OtBackend::Iknp;
+  core::WarmState gwarm(core::Role::Garbler, warm_opts);
+  core::WarmState ewarm(core::Role::Evaluator, warm_opts);
+  const core::PartyOptions gopts = machine.party_options(core::Role::Garbler, 1u << 20, {}, iknp);
+  const core::PartyOptions eopts =
+      machine.party_options(core::Role::Evaluator, 1u << 20, {}, iknp);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r = piped_session.run(std::vector<std::uint32_t>{20 + i},
-                                                  std::vector<std::uint32_t>{3 * i});
+    arm::Arm2GcResult r;
+    (void)a2gtest::run_two_threads(
+        [&](gc::Transport& tx) {
+          r = machine.run_garbler(std::vector<std::uint32_t>{20 + i}, tx, gopts, &gwarm);
+        },
+        [&](gc::Transport& tx) {
+          (void)machine.run_evaluator(std::vector<std::uint32_t>{3 * i}, tx, eopts, &ewarm);
+        });
     EXPECT_EQ(r.outputs[0], 20 + i + 3 * i);
-    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "piped run " << i;
+    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "socketpair run " << i;
   }
 }
 
@@ -638,8 +647,8 @@ TEST(OtExt, MismatchedBaseStateDetectedNotSilentlyWrong) {
 
   // The reverse — a warm *receiver* against a fresh sender — must also fail
   // loudly at the header. Without it, the fresh sender would block waiting
-  // for a base frame the warm receiver never sends (a deadlock under the
-  // threaded pipe, an underrun under the in-memory duplex; both wrong).
+  // for a base frame the warm receiver never sends (a hang over a socket,
+  // an underrun under the in-memory duplex; both wrong).
   {
     gc::InMemoryDuplex d;
     auto snd = gc::make_ot_sender(gc::OtBackend::Iknp, d.garbler_end(), seed_a, nullptr);

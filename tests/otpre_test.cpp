@@ -5,7 +5,7 @@
 //     x0 ^ b*R for every index, across batch sizes spanning the one-block
 //     correction header (m <= 64), overflow correction blocks (m > 64) and
 //     batches larger than the pool target (emergency refill), over both the
-//     lock-step duplex and the threaded pipe;
+//     lock-step duplex and a socketpair;
 //   - the maintain hooks top the pool back up between batches, so steady
 //     online batches never pay a refill;
 //   - the offline/online stats split: ot_online_bytes counts exactly the
@@ -14,13 +14,12 @@
 //     traffic and wall time land on the offline side;
 //   - full-driver differential fuzz: Precomp vs Iknp produce bit-identical
 //     outputs, label streams, golden table digests and non-OT comm counters
-//     across both modes and both in-process transports;
+//     across both modes, lock-step and over a socketpair;
 //   - warm pools amortize: one base phase and one bulk refill serve many
 //     runs of a session, later runs doing derandomization only.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -181,8 +180,7 @@ TEST(OtPre, MaintainHooksTopUpThePoolOffTheCriticalPath) {
   EXPECT_EQ(spool.refills(), 2u);
 }
 
-TEST(OtPre, PrecompOverThreadedPipe) {
-  gc::ThreadedPipeDuplex duplex(256);
+TEST(OtPre, PrecompOverSocketPair) {
   const Block seed = block_from_u64(42);
   gc::Garbler g(block_from_u64(4242));
   const Block r = g.R();
@@ -190,39 +188,39 @@ TEST(OtPre, PrecompOverThreadedPipe) {
   std::vector<Block> x0(kM);
   for (auto& b : x0) b = g.fresh_label();
 
-  std::thread sender_thread([&] {
-    auto sender = gc::make_ot_sender(gc::OtBackend::Precomp, duplex.garbler_end(), seed,
-                                     nullptr, nullptr, 64);
-    for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
-    sender->flush();
-    sender->maintain();
-    for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
-    sender->flush();
-  });
-
-  auto receiver = gc::make_ot_receiver(gc::OtBackend::Precomp, duplex.evaluator_end(), seed,
-                                       nullptr, nullptr, 64);
-  crypto::CtrRng rng(block_from_u64(777));
-  for (int batch = 0; batch < 2; ++batch) {
-    std::vector<bool> choice(kM);
-    std::vector<Block> got(kM);
-    for (std::size_t j = 0; j < kM; ++j) {
-      choice[j] = rng.next_bool();
-      receiver->enqueue(choice[j], &got[j]);
-    }
-    receiver->request();
-    receiver->finish();
-    if (batch == 0) {
-      receiver->maintain_request();
-      receiver->maintain_finish();
-    }
-    for (std::size_t j = 0; j < kM; ++j) {
-      const Block lo = batch == 0 ? x0[j] : x0[j] ^ r;
-      const Block hi = batch == 0 ? x0[j] ^ r : x0[j];
-      EXPECT_TRUE(got[j] == (choice[j] ? hi : lo)) << "batch=" << batch << " j=" << j;
-    }
-  }
-  sender_thread.join();
+  (void)a2gtest::run_two_threads(
+      [&](gc::Transport& tx) {
+        auto sender = gc::make_ot_sender(gc::OtBackend::Precomp, tx, seed, nullptr, nullptr, 64);
+        for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
+        sender->flush();
+        sender->maintain();
+        for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
+        sender->flush();
+      },
+      [&](gc::Transport& tx) {
+        auto receiver =
+            gc::make_ot_receiver(gc::OtBackend::Precomp, tx, seed, nullptr, nullptr, 64);
+        crypto::CtrRng rng(block_from_u64(777));
+        for (int batch = 0; batch < 2; ++batch) {
+          std::vector<bool> choice(kM);
+          std::vector<Block> got(kM);
+          for (std::size_t j = 0; j < kM; ++j) {
+            choice[j] = rng.next_bool();
+            receiver->enqueue(choice[j], &got[j]);
+          }
+          receiver->request();
+          receiver->finish();
+          if (batch == 0) {
+            receiver->maintain_request();
+            receiver->maintain_finish();
+          }
+          for (std::size_t j = 0; j < kM; ++j) {
+            const Block lo = batch == 0 ? x0[j] : x0[j] ^ r;
+            const Block hi = batch == 0 ? x0[j] ^ r : x0[j];
+            EXPECT_TRUE(got[j] == (choice[j] ? hi : lo)) << "batch=" << batch << " j=" << j;
+          }
+        }
+      });
 }
 
 // --- full-driver differential: Precomp vs Iknp ----------------------------------
@@ -309,20 +307,20 @@ TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesAndTransports) {
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const core::TransportKind tk :
-           {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+      for (const bool over_socketpair : {false, true}) {
         core::RunOptions iknp;
         iknp.mode = mode;
         iknp.fixed_cycles = 7;
-        iknp.exec.transport = tk;
         iknp.exec.ot_backend = gc::OtBackend::Iknp;
         core::RunOptions pre = iknp;
         pre.exec.ot_backend = gc::OtBackend::Precomp;
         // A tiny pool forces refills to interleave with real batches.
         pre.exec.ot_pool = 4;
 
-        const core::RunResult rk = core::SkipGateDriver(nl, iknp).run(a, b, p, &streams);
-        const core::RunResult rp = core::SkipGateDriver(nl, pre).run(a, b, p, &streams);
+        const core::RunResult rk =
+            a2gtest::two_party_run(over_socketpair, nl, iknp, a, b, p, &streams);
+        const core::RunResult rp =
+            a2gtest::two_party_run(over_socketpair, nl, pre, a, b, p, &streams);
         expect_same_protocol(rk, rp);
         // Online OT traffic shrinks to the derand frames; the rest of the
         // comm ledger (checked above) is untouched.
@@ -460,16 +458,25 @@ TEST(OtPre, WarmSessionAmortizesBasePhaseAndBulkRefills) {
     EXPECT_EQ(r.stats.comm.ot_bytes > r.stats.ot_online_bytes, i == 0) << "run " << i;
   }
 
-  // The same amortization over the threaded pipe (each party's pool lives
-  // with its thread).
-  core::ExecOptions piped = pre;
-  piped.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped_session(machine, piped);
+  // The same amortization with the endpoints on two threads, one fresh
+  // socketpair per run (each party's pool lives with its thread).
+  core::WarmState::Options warm_opts;
+  warm_opts.ot_backend = gc::OtBackend::Precomp;
+  core::WarmState gwarm(core::Role::Garbler, warm_opts);
+  core::WarmState ewarm(core::Role::Evaluator, warm_opts);
+  const core::PartyOptions gopts = machine.party_options(core::Role::Garbler, 1u << 20, {}, pre);
+  const core::PartyOptions eopts = machine.party_options(core::Role::Evaluator, 1u << 20, {}, pre);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r = piped_session.run(std::vector<std::uint32_t>{20 + i},
-                                                  std::vector<std::uint32_t>{3 * i});
+    arm::Arm2GcResult r;
+    (void)a2gtest::run_two_threads(
+        [&](gc::Transport& tx) {
+          r = machine.run_garbler(std::vector<std::uint32_t>{20 + i}, tx, gopts, &gwarm);
+        },
+        [&](gc::Transport& tx) {
+          (void)machine.run_evaluator(std::vector<std::uint32_t>{3 * i}, tx, eopts, &ewarm);
+        });
     EXPECT_EQ(r.outputs[0], 20 + i + 3 * i);
-    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "piped run " << i;
+    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "socketpair run " << i;
   }
 }
 

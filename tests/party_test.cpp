@@ -11,7 +11,7 @@
 //     the label stream, and hence the digest value, moves);
 //   - warm-state negative paths: a one-sided OT reset (desynced warm
 //     extension state) fails loudly on the OT header/check — never a hang or
-//     a wrong label — on both in-process transports, and endpoint abort
+//     a wrong label — lock-step and over a socketpair, and endpoint abort
 //     resets warm OT state so the *next* run recovers without rebuilding
 //     the session (base OTs simply rerun).
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <exception>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -30,7 +29,6 @@
 #include "core/skipgate.h"
 #include "crypto/rng.h"
 #include "gc/transport.h"
-#include "gc/transport_socket.h"
 #include "programs/programs.h"
 #include "test_util.h"
 
@@ -102,42 +100,22 @@ SocketRun socket_run(const netlist::Netlist& nl, const core::RunOptions& opts,
                      const netlist::BitVec& p, const core::StreamProvider* streams,
                      std::optional<Block> garbler_private = {},
                      std::optional<Block> evaluator_private = {}) {
-  gc::SocketListener listener("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
-
+  a2gtest::SocketPair tcp = a2gtest::SocketPair::tcp_loopback();
   SocketRun out;
-  gc::CommStats garbler_sent;
-  std::exception_ptr garbler_error;
-  std::thread garbler_thread([&] {
-    try {
-      auto sock = gc::SocketDuplex::connect("127.0.0.1", port);
-      core::PartyOptions po = core::party_options(core::Role::Garbler, opts);
-      if (garbler_private) po.private_seed = *garbler_private;
-      core::GarblerEndpoint endpoint(nl, po, sock->end());
-      out.garbler = endpoint.run(a, p, streams);
-      sock->flush();
-      garbler_sent = sock->sent();
-    } catch (...) {
-      garbler_error = std::current_exception();
-    }
-  });
-
-  auto sock = listener.accept();
-  try {
-    core::PartyOptions po = core::party_options(core::Role::Evaluator, opts);
-    if (evaluator_private) po.private_seed = *evaluator_private;
-    core::EvaluatorEndpoint endpoint(nl, po, sock->end());
-    out.evaluator = endpoint.run(b, p, streams);
-  } catch (...) {
-    sock->close();  // unblock the peer before propagating
-    garbler_thread.join();
-    throw;
-  }
-  garbler_thread.join();
-  if (garbler_error) std::rethrow_exception(garbler_error);
-
-  out.combined_comm = garbler_sent;
-  out.combined_comm += sock->sent();
+  out.combined_comm = a2gtest::run_two_threads(
+      tcp,
+      [&](gc::Transport& tx) {
+        core::PartyOptions po = core::party_options(core::Role::Garbler, opts);
+        if (garbler_private) po.private_seed = *garbler_private;
+        core::GarblerEndpoint endpoint(nl, po, tx);
+        out.garbler = endpoint.run(a, p, streams);
+      },
+      [&](gc::Transport& tx) {
+        core::PartyOptions po = core::party_options(core::Role::Evaluator, opts);
+        if (evaluator_private) po.private_seed = *evaluator_private;
+        core::EvaluatorEndpoint endpoint(nl, po, tx);
+        out.evaluator = endpoint.run(b, p, streams);
+      });
   return out;
 }
 
@@ -206,29 +184,21 @@ TEST(PartyEndpoints, SocketMatchesInMemoryArmHamming160) {
   const arm::Arm2GcResult iss = machine.run_reference(a, b);
   ASSERT_EQ(ref.outputs, iss.outputs);
 
-  gc::SocketListener listener("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
+  a2gtest::SocketPair tcp = a2gtest::SocketPair::tcp_loopback();
   arm::Arm2GcResult gres;
-  gc::CommStats garbler_sent;
-  std::exception_ptr gerr;
-  std::thread garbler_thread([&] {
-    try {
-      auto sock = gc::SocketDuplex::connect("127.0.0.1", port);
-      gres = machine.run_garbler(
-          a, sock->end(),
-          machine.party_options(core::Role::Garbler, 1u << 20, gc::Scheme::HalfGates, exec));
-      sock->flush();
-      garbler_sent = sock->sent();
-    } catch (...) {
-      gerr = std::current_exception();
-    }
-  });
-  auto sock = listener.accept();
-  const arm::Arm2GcResult eres = machine.run_evaluator(
-      b, sock->end(),
-      machine.party_options(core::Role::Evaluator, 1u << 20, gc::Scheme::HalfGates, exec));
-  garbler_thread.join();
-  ASSERT_FALSE(gerr);
+  arm::Arm2GcResult eres;
+  const gc::CommStats combined = a2gtest::run_two_threads(
+      tcp,
+      [&](gc::Transport& tx) {
+        gres = machine.run_garbler(
+            a, tx,
+            machine.party_options(core::Role::Garbler, 1u << 20, gc::Scheme::HalfGates, exec));
+      },
+      [&](gc::Transport& tx) {
+        eres = machine.run_evaluator(
+            b, tx,
+            machine.party_options(core::Role::Evaluator, 1u << 20, gc::Scheme::HalfGates, exec));
+      });
 
   EXPECT_EQ(gres.outputs, ref.outputs);
   EXPECT_EQ(gres.cycles, ref.cycles);
@@ -238,8 +208,6 @@ TEST(PartyEndpoints, SocketMatchesInMemoryArmHamming160) {
   EXPECT_TRUE(eres.stats.table_digest == ref.stats.table_digest);
   EXPECT_TRUE(eres.outputs.empty());  // Bob does not learn the result
 
-  gc::CommStats combined = garbler_sent;
-  combined += sock->sent();
   EXPECT_EQ(combined.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
   EXPECT_EQ(combined.input_label_bytes, ref.stats.comm.input_label_bytes);
   EXPECT_EQ(combined.ot_bytes, ref.stats.comm.ot_bytes);
@@ -276,26 +244,27 @@ TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {
   EXPECT_EQ(s.combined_comm.total(), ref.stats.comm.total());
 }
 
-TEST(PartyEndpoints, EvaluatorDigestMatchesGarblerOverThreadedPipe) {
+TEST(PartyEndpoints, EvaluatorDigestMatchesGarblerOverSocketPair) {
   builder::CircuitBuilder cb;
   const builder::Bus x = cb.input_bus(netlist::Owner::Alice, 8, 0);
   const builder::Bus y = cb.input_bus(netlist::Owner::Bob, 8, 0);
   cb.output_bus(builder::mul_lower(cb, x, y, 8));
   const netlist::Netlist nl = cb.take();
 
-  gc::ThreadedPipeDuplex duplex(1u << 12);
   core::RunOptions opts;
   opts.fixed_cycles = 1;
   core::RunResult gres;
-  std::thread garbler_thread([&] {
-    core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts),
-                                   duplex.garbler_end());
-    gres = endpoint.run(to_bits(13, 8));
-  });
-  core::EvaluatorEndpoint endpoint(nl, core::party_options(core::Role::Evaluator, opts),
-                                   duplex.evaluator_end());
-  const core::RunResult eres = endpoint.run(to_bits(11, 8));
-  garbler_thread.join();
+  core::RunResult eres;
+  (void)a2gtest::run_two_threads(
+      [&](gc::Transport& tx) {
+        core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts), tx);
+        gres = endpoint.run(to_bits(13, 8));
+      },
+      [&](gc::Transport& tx) {
+        core::EvaluatorEndpoint endpoint(nl, core::party_options(core::Role::Evaluator, opts),
+                                         tx);
+        eres = endpoint.run(to_bits(11, 8));
+      });
 
   EXPECT_EQ(a2gtest::from_bits(gres.final_outputs, 0, 8), (13u * 11u) & 0xFFu);
   EXPECT_GT(gres.stats.garbled_non_xor, 0u);
@@ -321,24 +290,23 @@ core::WarmState::Options iknp_warm_options() {
 /// One-sided OT desync (here: an explicit one-sided reset, the same state a
 /// run aborted between the receiver's request and the sender's flush leaves
 /// behind) must fail on the OT header/check block — a loud runtime_error,
-/// not a hang and never a mis-delivered label — on both in-process
-/// transports. Endpoint abort then resets *both* sides, so the run after
-/// the failure recovers with a fresh base phase.
+/// not a hang and never a mis-delivered label — both lock-step and with the
+/// endpoints on two threads over a socketpair. Endpoint abort then resets
+/// *both* sides, so the run after the failure recovers with a fresh base
+/// phase.
 TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
   const netlist::Netlist nl = two_party_adder();
-  for (const core::TransportKind tk :
-       {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+  for (const bool over_socketpair : {false, true}) {
     core::WarmState gwarm(core::Role::Garbler, iknp_warm_options());
     core::WarmState ewarm(core::Role::Evaluator, iknp_warm_options());
     core::RunOptions opts;
     opts.fixed_cycles = 1;
-    opts.exec.transport = tk;
     opts.exec.ot_backend = gc::OtBackend::Iknp;
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
     const core::RunResult warmup =
-        core::SkipGateDriver(nl, opts).run(to_bits(3, 4), to_bits(5, 4));
+        a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(3, 4), to_bits(5, 4));
     EXPECT_EQ(a2gtest::from_bits(warmup.final_outputs, 0, 4), 8u);
     EXPECT_EQ(warmup.stats.ot_base_ots, gc::kOtKappa);
 
@@ -346,7 +314,7 @@ TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
     // phase; the evaluator's still rides the old streams.
     gwarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(1, 4), to_bits(2, 4));
+      (void)a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(1, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT state must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -358,7 +326,7 @@ TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
     // re-bases (base OTs run again) and succeeds — recovery without
     // rebuilding caches or session.
     const core::RunResult recovered =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(recovered.final_outputs, 0, 4), 13u);
     EXPECT_EQ(recovered.stats.ot_base_ots, gc::kOtKappa);
   }
@@ -406,25 +374,23 @@ core::WarmState::Options precomp_warm_options(std::size_t pool) {
 /// schedule. A one-sided pool reset (the state a one-sided crash leaves)
 /// makes one party refill where the other derandomizes, so the very first
 /// OT frame of the next run is read against the wrong layout — a loud
-/// runtime_error on an OT header, never a silent wrong label, on both
-/// in-process transports. The failed run's abort resets both sides, and
+/// runtime_error on an OT header, never a silent wrong label, lock-step
+/// and over a socketpair alike. The failed run's abort resets both sides, and
 /// recovery re-bases from scratch.
 TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
   const netlist::Netlist nl = two_party_adder();
-  for (const core::TransportKind tk :
-       {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+  for (const bool over_socketpair : {false, true}) {
     core::WarmState gwarm(core::Role::Garbler, precomp_warm_options(8));
     core::WarmState ewarm(core::Role::Evaluator, precomp_warm_options(8));
     core::RunOptions opts;
     opts.fixed_cycles = 1;
-    opts.exec.transport = tk;
     opts.exec.ot_backend = gc::OtBackend::Precomp;
     opts.exec.ot_pool = 8;
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
     const core::RunResult warmup =
-        core::SkipGateDriver(nl, opts).run(to_bits(3, 4), to_bits(5, 4));
+        a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(3, 4), to_bits(5, 4));
     EXPECT_EQ(a2gtest::from_bits(warmup.final_outputs, 0, 4), 8u);
     EXPECT_EQ(warmup.stats.ot_base_ots, gc::kOtKappa);
     // 4 of the 8 banked OTs consumed: a half-drained pool survives runs.
@@ -435,7 +401,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     // from scratch while the evaluator still rides the old pool.
     gwarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(1, 4), to_bits(2, 4));
+      (void)a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(1, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT pools must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -444,7 +410,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     }
 
     const core::RunResult recovered =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(recovered.final_outputs, 0, 4), 13u);
     EXPECT_EQ(recovered.stats.ot_base_ots, gc::kOtKappa);
 
@@ -453,7 +419,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     // it expects a derand header, or vice versa).
     ewarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(2, 4), to_bits(2, 4));
+      (void)a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(2, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT pools must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -461,7 +427,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
       EXPECT_NE(std::string(e.what()).find("ot"), std::string::npos) << e.what();
     }
     const core::RunResult again =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::two_party_run(over_socketpair, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(again.final_outputs, 0, 4), 13u);
     EXPECT_EQ(again.stats.ot_base_ots, gc::kOtKappa);
   }
@@ -528,6 +494,21 @@ struct FaultRun {
   std::string evaluator_other;
 };
 
+/// Records which failure one party surfaced, then rethrows it so
+/// run_two_threads closes that party's socket.
+template <typename Body>
+void record_failure(bool& closed, std::string& other, Body&& body) {
+  try {
+    body();
+  } catch (const gc::TransportClosed&) {
+    closed = true;
+    throw;
+  } catch (const std::exception& e) {
+    other = e.what();
+    throw;
+  }
+}
+
 /// Garbler on a worker thread, evaluator on this one, over the faulty pair;
 /// endpoint run() handles its own abort (warm OT reset) before rethrowing.
 FaultRun faulty_run(const netlist::Netlist& nl, const core::RunOptions& opts,
@@ -535,27 +516,26 @@ FaultRun faulty_run(const netlist::Netlist& nl, const core::RunOptions& opts,
                     core::WarmState* ewarm, const netlist::BitVec& a,
                     const netlist::BitVec& b) {
   FaultRun out;
-  std::thread garbler_thread([&] {
-    try {
-      core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts),
-                                     duplex.garbler_end(), gwarm);
-      (void)endpoint.run(a);
-    } catch (const gc::TransportClosed&) {
-      out.garbler_closed = true;
-    } catch (const std::exception& e) {
-      out.garbler_other = e.what();
-    }
-  });
   try {
-    core::EvaluatorEndpoint endpoint(nl, core::party_options(core::Role::Evaluator, opts),
-                                     duplex.evaluator_end(), ewarm);
-    (void)endpoint.run(b);
-  } catch (const gc::TransportClosed&) {
-    out.evaluator_closed = true;
-  } catch (const std::exception& e) {
-    out.evaluator_other = e.what();
+    (void)a2gtest::run_two_threads(
+        duplex,
+        [&](gc::Transport& tx) {
+          record_failure(out.garbler_closed, out.garbler_other, [&] {
+            core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts),
+                                           tx, gwarm);
+            (void)endpoint.run(a);
+          });
+        },
+        [&](gc::Transport& tx) {
+          record_failure(out.evaluator_closed, out.evaluator_other, [&] {
+            core::EvaluatorEndpoint endpoint(
+                nl, core::party_options(core::Role::Evaluator, opts), tx, ewarm);
+            (void)endpoint.run(b);
+          });
+        });
+  } catch (const std::exception&) {
+    // Both parties' outcomes are recorded above.
   }
-  garbler_thread.join();
   return out;
 }
 
@@ -600,7 +580,7 @@ TEST(PartyFaultInjection, MidStreamCloseSurfacesTransportClosedAndWarmRecovers) 
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
-    a2gtest::FaultyDuplex faulty(1u << 12);
+    a2gtest::FaultyDuplex faulty;
     if (c.on_garbler && c.on_send) faulty.fail_garbler_send_after(c.at);
     if (c.on_garbler && !c.on_send) faulty.fail_garbler_recv_after(c.at);
     if (!c.on_garbler && c.on_send) faulty.fail_evaluator_send_after(c.at);
@@ -652,7 +632,7 @@ TEST(PartyFaultInjection, PrecompMidStreamCloseRecoversByteIdentical) {
   // faulty run is warm — the evaluator sends only a handful of small frames
   // there, and its trip must sit inside that short stream.
   for (const std::uint64_t at : {5ull, 3ull}) {
-    a2gtest::FaultyDuplex faulty(1u << 12);
+    a2gtest::FaultyDuplex faulty;
     faulty.fail_evaluator_send_after(at);  // the receiver-first OT frames die
     const FaultRun r =
         faulty_run(nl, opts, faulty, &gwarm, &ewarm, to_bits(3, 4), to_bits(4, 4));

@@ -288,12 +288,21 @@ TEST(PlanCache, ArmSessionWarmsAcrossExecutions) {
     }
   }
 
-  core::ExecOptions exec;
-  exec.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped(machine, exec);
+  // The same warm serving with the endpoints on two threads, one fresh
+  // socketpair per run and each party planning on its own.
+  core::WarmState gwarm(core::Role::Garbler);
+  core::WarmState ewarm(core::Role::Evaluator);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r =
-        piped.run(std::vector<std::uint32_t>{5 + i}, std::vector<std::uint32_t>{9});
+    arm::Arm2GcResult r;
+    (void)a2gtest::run_two_threads(
+        [&](gc::Transport& tx) {
+          r = machine.run_garbler(std::vector<std::uint32_t>{5 + i}, tx,
+                                  machine.party_options(core::Role::Garbler), &gwarm);
+        },
+        [&](gc::Transport& tx) {
+          (void)machine.run_evaluator(std::vector<std::uint32_t>{9}, tx,
+                                      machine.party_options(core::Role::Evaluator), &ewarm);
+        });
     EXPECT_EQ(r.outputs[0], 14 + i);
   }
 }
@@ -485,23 +494,19 @@ TEST(WarmState, IsRoleScoped) {
   const netlist::Netlist nl = selector_netlist(3);
   core::WarmState gwarm(core::Role::Garbler);
 
-  // One WarmState cannot serve both parties: the threaded driver would race
-  // on it and the lock-step driver would alias the per-party caches.
+  // One WarmState cannot serve both parties (they would alias the per-party
+  // caches): it has the wrong role for one of the two slots.
   core::RunOptions shared;
   shared.fixed_cycles = 1;
-  shared.exec.transport = core::TransportKind::ThreadedPipe;
   shared.exec.garbler_warm = &gwarm;
   shared.exec.evaluator_warm = &gwarm;
   EXPECT_THROW(core::SkipGateDriver(nl, shared).run({false}, {false}), std::invalid_argument);
 
-  // A wrong-role WarmState is rejected by the endpoint on every transport.
+  // A wrong-role WarmState is rejected by the endpoint.
   core::RunOptions swapped;
   swapped.fixed_cycles = 1;
   swapped.exec.evaluator_warm = &gwarm;  // garbler-role state, evaluator slot
   EXPECT_THROW(core::SkipGateDriver(nl, swapped).run({false}, {false}), std::invalid_argument);
-  core::RunOptions piped = swapped;
-  piped.exec.transport = core::TransportKind::ThreadedPipe;
-  EXPECT_THROW(core::SkipGateDriver(nl, piped).run({false}, {false}), std::invalid_argument);
 }
 
 /// Differential fuzz (both party sides): randomized sequential netlists
