@@ -360,4 +360,40 @@ static void BM_ProtocolArmSessionHamming160(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolArmSessionHamming160)->Unit(benchmark::kMillisecond);
 
+/// The SkipGate planner alone (no garbling, no transport) replayed over
+/// Hamming-160's 97-cycle halt-driven trajectory: reset, then begin /
+/// forward / finish / latch per cycle until the public halt wire rises.
+/// "cold" classifies every cycle (no plan cache); "warm" serves every cycle
+/// from a shared cache pre-warmed by one replay, so it measures the hit path
+/// (signature, lookup, verification walk).
+static void BM_PlannerReplayHamming160(benchmark::State& state, bool warm) {
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const arm::CpuNetlist& cpu = machine.cpu();
+  core::PlanCache cache;
+  core::PlannerOptions opts;
+  opts.cache = warm;
+  opts.shared_cache = warm ? &cache : nullptr;
+  std::uint64_t cycles = 0;
+  const auto replay = [&] {
+    core::Planner planner(cpu.nl, opts);
+    planner.reset({});
+    cycles = 0;
+    for (bool is_final = false; !is_final; ++cycles) {
+      planner.begin_cycle({});
+      planner.forward();
+      is_final = planner.wire_value(cpu.halt_wire);
+      const core::CyclePlan plan = planner.finish(is_final);
+      benchmark::DoNotOptimize(plan.emitted);
+      if (!is_final) planner.latch(plan);
+    }
+  };
+  if (warm) replay();
+  for (auto _ : state) replay();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cycles));
+  state.counters["cycles"] = static_cast<double>(cycles);
+}
+BENCHMARK_CAPTURE(BM_PlannerReplayHamming160, cold, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlannerReplayHamming160, warm, true)->Unit(benchmark::kMillisecond);
+
 BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 #include "core/plan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -15,28 +16,10 @@ using netlist::Netlist;
 using netlist::Owner;
 using netlist::WireId;
 
-constexpr WireId kNoWire = 0xffffffffu;
-
-WireState pub_state(bool v) {
-  WireState s;
-  s.is_pub = true;
-  s.val = v;
-  return s;
-}
-
-std::uint8_t pack_bits(const WireState& s) {
-  return static_cast<std::uint8_t>((s.is_pub ? 1u : 0u) | (s.val ? 2u : 0u) |
-                                   (s.flip ? 4u : 0u));
-}
-
-std::uint64_t fnv1a64(const std::vector<std::uint32_t>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint32_t x : v) {
-    h ^= x;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+/// The XOR-cancellation peephole follows at most this many pass hops back to
+/// the FreeXor it cancels against; a deeper chain does not cancel.
+constexpr std::uint8_t kMaxPassHops = 64;
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -54,7 +37,7 @@ std::uint64_t fnv1a64_step(std::uint64_t h, std::uint64_t x) {
 /// state: the mode and the netlist structure (names excluded — they cannot
 /// affect classification).
 std::uint64_t netlist_content_key(const Netlist& nl, Mode mode) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffset;
   h = fnv1a64_step(h, static_cast<std::uint64_t>(mode));
   h = fnv1a64_step(h, nl.outputs_every_cycle ? 1 : 0);
   for (const netlist::Input& in : nl.inputs) {
@@ -76,56 +59,12 @@ std::uint64_t netlist_content_key(const Netlist& nl, Mode mode) {
   return h;
 }
 
-/// Folds a unary residual function of a surviving secret input into a plan
-/// action (constant output, wire, or inverter — paper Figures 1 and 2).
-void classify_unary(netlist::UnaryTable u, const WireState& in, bool pass_is_a, PlanAct& act,
-                    WireState& out) {
-  if (netlist::unary_is_const(u)) {
-    act = PlanAct::Public;
-    out = pub_state(u == netlist::kUnOne);
-    return;
-  }
-  act = pass_is_a ? PlanAct::PassA : PlanAct::PassB;
-  out = in;
-  if (u == netlist::kUnNot) out.flip = !out.flip;
-}
-
-/// Follows pass-style actions back to the wire whose label a wire carries.
-WireId resolve_pass(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
-                    WireId w) {
-  const WireId first_gate = nl.first_gate_wire();
-  for (int hops = 0; hops < 64 && w >= first_gate; ++hops) {
-    const std::size_t gi = w - first_gate;
-    switch (static_cast<PlanAct>(acts[gi])) {
-      case PlanAct::PassA: w = nl.gates[gi].a; break;
-      case PlanAct::PassB: w = nl.gates[gi].b; break;
-      case PlanAct::PassSrc: w = pass_srcs[gi]; break;
-      default: return w;
-    }
-  }
-  return w;
-}
-
-/// For a free XOR of wires (wa, wb): if either side resolves to a FreeXor
-/// gate one of whose operands' fingerprint equals the result fingerprint,
-/// the other operand cancels and the result is a plain wire. Returns the
-/// surviving source wire or kNoWire. `is_pub` reads the entry's wire bits,
-/// so classification and hit verification share one decision procedure.
-template <typename IsPubFn>
-WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
-                         const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
-                         WireId wb, const Block& out_fp) {
-  const WireId first_gate = nl.first_gate_wire();
-  for (const WireId side : {wa, wb}) {
-    const WireId r = resolve_pass(nl, acts, pass_srcs, side);
-    if (r < first_gate) continue;
-    const std::size_t gi = r - first_gate;
-    if (static_cast<PlanAct>(acts[gi]) != PlanAct::FreeXor) continue;
-    const Gate& g2 = nl.gates[gi];
-    if (!is_pub(g2.a) && st[g2.a].fp == out_fp) return g2.a;
-    if (!is_pub(g2.b) && st[g2.b].fp == out_fp) return g2.b;
-  }
-  return kNoWire;
+/// Plaintext of derived_fp(gate) in a given epoch. The top bit set keeps it
+/// disjoint from the root stream's {counter, 0} plaintexts, so derived and
+/// root fingerprints never collide and are jointly pseudorandom under the one
+/// keyed permutation.
+Block derived_plaintext(std::size_t gate, std::uint64_t epoch) {
+  return Block{static_cast<std::uint64_t>(gate), (1ull << 63) | epoch};
 }
 
 }  // namespace
@@ -193,24 +132,41 @@ PlanCache::Entry* PlanCache::find(std::uint64_t hash, const std::vector<std::uin
 PlanCache::Entry* PlanCache::insert(std::uint64_t hash, const std::vector<std::uint32_t>& sig) {
   if (!admit(hash)) return nullptr;
   if (lru_.size() >= capacity_) {
-    const Entry& victim = lru_.back();
-    const auto vit = map_.find(victim.hash);
-    for (auto i = vit->second.begin(); i != vit->second.end(); ++i) {
-      if (&**i == &victim) {
-        vit->second.erase(i);
-        break;
-      }
-    }
+    // Evict by recycling: unlink the least-recently-used entry from the
+    // index and move it to the front, so the classification that refills it
+    // reuses the storage of its per-gate arrays instead of freeing and
+    // reallocating them. The variable-length lists and the final-cycle
+    // backward variant (filled for one state per run) restart empty as in a
+    // fresh entry: carried over, each would keep the largest size any
+    // occupant needed and the cache would outgrow a fresh one. Emptying the
+    // touch list first zeroes the act/pass-source slots it covers.
+    const LruList::iterator victim = std::prev(lru_.end());
+    const auto vit = map_.find(victim->hash);
+    vit->second.erase(std::find(vit->second.begin(), vit->second.end(), victim));
     if (vit->second.empty()) map_.erase(vit);
-    lru_.pop_back();
+    victim->clear_touched();
+    victim->touch.shrink_to_fit();
+    victim->backward[0].work.clear();
+    victim->backward[0].work.shrink_to_fit();
+    victim->backward[1] = Backward{};
+    lru_.splice(lru_.begin(), lru_, victim);
     ++evictions_;
+  } else {
+    lru_.emplace_front();
   }
-  lru_.emplace_front();
   Entry& e = lru_.front();
   e.hash = hash;
   e.sig = sig;
   map_[hash].push_back(lru_.begin());
   return &e;
+}
+
+void PlanCache::Entry::clear_touched() {
+  for (const std::uint32_t i : touch) {
+    act[i] = 0;
+    pass_src[i] = 0;
+  }
+  touch.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -223,7 +179,11 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
       fp_gen_(opts.seed ^ Block{0xf1f2f3f4f5f6f7f8ULL, 0x0102030405060708ULL}) {
   nl_.validate();
   const std::size_t nw = nl_.num_wires();
-  st_.resize(nw);
+  fp_.resize(nw);
+  root_bits_.resize(nl_.first_gate_wire());
+  pass_root_.resize(nw);
+  for (WireId w = 0; w < nw; ++w) pass_root_[w] = w;
+  pass_depth_.assign(nw, 0);
   needed_.assign(nw, 0);
   non_free_per_cycle_ = nl_.count_non_free();
   netlist_key_ = netlist_content_key(nl_, opts_.mode);
@@ -256,17 +216,7 @@ Block Planner::fresh_fp() {
 }
 
 Block Planner::derived_fp(std::size_t gate) const {
-  // Top plaintext bit set: disjoint from the root stream's {counter, 0}
-  // plaintexts, so derived and root fingerprints never collide and are
-  // jointly pseudorandom under the one keyed permutation.
-  return fp_gen_.encrypt(Block{static_cast<std::uint64_t>(gate), (1ull << 63) | fp_epoch_});
-}
-
-void Planner::bind_secret_fp(WireState& s) {
-  s.is_pub = false;
-  s.val = false;
-  s.flip = false;
-  s.fp = fresh_fp();
+  return fp_gen_.encrypt(derived_plaintext(gate, fp_epoch_));
 }
 
 void Planner::reset(const netlist::BitVec& pub_bits) {
@@ -278,39 +228,47 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
     return pub_bits[idx];
   };
 
+  // Constants and fixed inputs keep their state for the whole run, and
+  // gate processing never writes a root slot, so they are bound once here.
+  const auto bind_public = [this](WireId w, bool v) { root_bits_[w] = v ? 3 : 1; };
+  const auto bind_secret = [this](WireId w) {
+    root_bits_[w] = 0;
+    fp_[w] = fresh_fp();
+  };
+
   // Constants. Conventional GC treats even constants as secret wires; the
   // planner tracks them with fingerprints like any other secret.
   if (opts_.mode == Mode::SkipGate) {
-    const_st_[0] = pub_state(false);
-    const_st_[1] = pub_state(true);
+    bind_public(netlist::kConst0, false);
+    bind_public(netlist::kConst1, true);
   } else {
-    bind_secret_fp(const_st_[0]);
-    bind_secret_fp(const_st_[1]);
+    bind_secret(netlist::kConst0);
+    bind_secret(netlist::kConst1);
   }
 
   // Fixed primary inputs: public ones carry their value (SkipGate mode);
   // secret ones carry a fresh fingerprint. Values of secret inputs never
   // reach the planner — it consumes public data only.
-  fixed_st_.assign(nl_.inputs.size(), WireState{});
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     const netlist::Input& in = nl_.inputs[i];
     if (in.streamed) continue;
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
-      fixed_st_[i] = pub_state(pub_bit(in.bit_index, "fixed input"));
+      bind_public(nl_.input_wire(i), pub_bit(in.bit_index, "fixed input"));
     } else {
-      bind_secret_fp(fixed_st_[i]);
+      bind_secret(nl_.input_wire(i));
     }
   }
 
-  // Flip-flop initial values.
-  dff_st_.assign(nl_.dffs.size(), WireState{});
+  // Flip-flop initial values, staged like every later latched state.
+  dff_bits_.assign(nl_.dffs.size(), 0);
+  dff_fp_.assign(nl_.dffs.size(), Block{});
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
     const bool const_init = d.init == Dff::Init::Zero || d.init == Dff::Init::One;
     if (const_init && opts_.mode == Mode::SkipGate) {
-      dff_st_[i] = pub_state(d.init == Dff::Init::One);
+      dff_bits_[i] = d.init == Dff::Init::One ? 3 : 1;
     } else {
-      bind_secret_fp(dff_st_[i]);
+      dff_fp_[i] = fresh_fp();
     }
   }
 
@@ -318,38 +276,34 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
 }
 
 void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
-  st_[netlist::kConst0] = const_st_[0];
-  st_[netlist::kConst1] = const_st_[1];
-
+  // Constants and fixed inputs are still bound from reset(); bind this
+  // cycle's streamed inputs and copy in the flip-flops' latched states. A
+  // public root's fingerprint slot is never read, so it is not written.
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     const netlist::Input& in = nl_.inputs[i];
+    if (!in.streamed) continue;
     const WireId w = nl_.input_wire(i);
-    if (!in.streamed) {
-      st_[w] = fixed_st_[i];
-      continue;
-    }
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
       if (in.bit_index >= pub_stream.size()) {
         throw std::out_of_range("skipgate: missing streamed input bit " +
                                 std::to_string(in.bit_index));
       }
-      st_[w] = pub_state(pub_stream[in.bit_index]);
+      root_bits_[w] = pub_stream[in.bit_index] ? 3 : 1;
     } else {
-      bind_secret_fp(st_[w]);
+      root_bits_[w] = 0;
+      fp_[w] = fresh_fp();
     }
   }
-
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    st_[nl_.dff_wire(i)] = dff_st_[i];
-  }
+  // Flip-flop wires are contiguous: block copies.
+  std::copy(dff_bits_.begin(), dff_bits_.end(), root_bits_.begin() + nl_.dff_wire(0));
+  std::copy(dff_fp_.begin(), dff_fp_.end(), fp_.begin() + nl_.dff_wire(0));
 }
 
-void Planner::build_signature() {
+std::uint64_t Planner::build_signature() {
   // Class ids are first-occurrence over the root sweep — the canonical
   // whole-netlist entry signature.
   const WireId first_gate = nl_.first_gate_wire();
-  sig_.clear();
-  sig_.reserve(first_gate);
+  sig_.resize(first_gate);
   ++class_epoch_;
   std::uint32_t next_class = 0;
   const std::size_t mask = class_table_.size() - 1;
@@ -367,14 +321,15 @@ void Planner::build_signature() {
       i = (i + 1) & mask;
     }
   };
+  std::uint64_t h = kFnvOffset;
   for (WireId w = 0; w < first_gate; ++w) {
-    const WireState& s = st_[w];
-    if (s.is_pub) {
-      sig_.push_back(1u | (s.val ? 2u : 0u));
-    } else {
-      sig_.push_back((class_of(s.fp) << 2) | (s.flip ? 2u : 0u));
-    }
+    const std::uint8_t b = root_bits_[w];
+    // Public: 1 | value<<1. Secret: class<<2 | flip<<1.
+    const std::uint32_t word = (b & 1) != 0 ? (b & 3u) : (class_of(fp_[w]) << 2) | ((b & 4u) >> 1);
+    sig_[w] = word;
+    h = fnv1a64_step(h, word);
   }
+  return h;
 }
 
 void Planner::forward() {
@@ -384,8 +339,7 @@ void Planner::forward() {
   ++fp_epoch_;
   Entry* e = &scratch_;
   if (cache_ != nullptr) {
-    build_signature();
-    const std::uint64_t h = fnv1a64(sig_);
+    const std::uint64_t h = build_signature();
     if (Entry* hit = cache_->find(h, sig_)) {
       if (verify_touch(*hit)) {
         ++cache_hits_;
@@ -405,97 +359,137 @@ void Planner::forward() {
 }
 
 void Planner::classify(Entry& e) {
+  // Public-input gates write neither act nor pass source: both arrays stay
+  // all-zero (Public, no source) outside the touch list. The touch list is
+  // collected in scratch and stored at its exact size, so entries carry no
+  // growth slack.
   const std::size_t ng = nl_.gates.size();
+  e.clear_touched();
+  touch_.clear();
   e.act.resize(ng);
   e.pass_src.resize(ng);
   e.wire_bits.resize(nl_.num_wires());
-  e.touch.clear();
   e.backward[0].filled = false;
   e.backward[1].filled = false;
+  std::copy(root_bits_.begin(), root_bits_.end(), e.wire_bits.begin());
 
   const WireId first_gate = nl_.first_gate_wire();
-  for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
-
-  const bool skipgate = opts_.mode == Mode::SkipGate;
-  const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
-  const auto state_of = [&](WireId w) {
-    const std::uint8_t b = e.wire_bits[w];
-    WireState s;
-    s.is_pub = (b & 1) != 0;
-    s.val = (b & 2) != 0;
-    s.flip = (b & 4) != 0;
-    s.fp = st_[w].fp;
-    return s;
-  };
-
+  const Gate* const gates = nl_.gates.data();
+  std::uint8_t* const bits = e.wire_bits.data();
+  std::uint8_t* const acts = e.act.data();
+  WireId* const srcs = e.pass_src.data();
   for (std::size_t i = 0; i < ng; ++i) {
-    const Gate g = nl_.gates[i];
-    const WireState a = state_of(g.a);
-    const WireState b = state_of(g.b);
-    WireState out;
-    PlanAct act;
-    WireId src = 0;
-
-    if (skipgate && a.is_pub && b.is_pub) {  // category i
-      act = PlanAct::Public;
-      out = pub_state(netlist::tt_eval(g.tt, a.val, b.val));
-    } else if (skipgate && a.is_pub) {  // category ii
-      classify_unary(netlist::tt_restrict_a(g.tt, a.val), b, /*pass_is_a=*/false, act, out);
-    } else if (skipgate && b.is_pub) {  // category ii
-      classify_unary(netlist::tt_restrict_b(g.tt, b.val), a, /*pass_is_a=*/true, act, out);
-    } else if (skipgate && a.fp == b.fp) {  // category iii
-      classify_unary(netlist::tt_restrict_diag(g.tt, a.flip != b.flip), a, /*pass_is_a=*/true,
-                     act, out);
-    } else if (netlist::tt_is_affine(g.tt)) {  // free under free-XOR
-      if (g.tt == netlist::kTtZero || g.tt == netlist::kTtOne) {
-        const bool one = g.tt == netlist::kTtOne;
-        if (skipgate) {
-          act = PlanAct::Public;
-          out = pub_state(one);
-        } else {
-          act = one ? PlanAct::PassC1 : PlanAct::PassC0;
-          out = state_of(one ? netlist::kConst1 : netlist::kConst0);
-        }
-      } else if (netlist::tt_ignores_a(g.tt)) {
-        classify_unary(netlist::tt_restrict_a(g.tt, false), b, /*pass_is_a=*/false, act, out);
-      } else if (netlist::tt_ignores_b(g.tt)) {
-        classify_unary(netlist::tt_restrict_b(g.tt, false), a, /*pass_is_a=*/true, act, out);
-      } else {  // XOR / XNOR of two live secrets
-        act = PlanAct::FreeXor;
-        out.is_pub = false;
-        out.fp = a.fp ^ b.fp;
-        out.flip = (a.flip != b.flip) != (g.tt == netlist::kTtXnor);
-        // XOR-cancellation peephole: the 1-AND multiplexer f ^ (s & (t^f))
-        // with a public select degenerates to f ^ (t ^ f) == t. Detecting
-        // that the result carries exactly an existing wire's label (the
-        // paper's "the MUX acts as a wire") releases the unselected side's
-        // label from the needed-cone, so its producing gates are skipped.
-        if (skipgate) {
-          const WireId cancel = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
-                                                  wire_pub, g.a, g.b, out.fp);
-          if (cancel != kNoWire) {
-            act = PlanAct::PassSrc;
-            src = cancel;
-          }
-        }
-      }
-    } else {  // category iv
-      act = PlanAct::Garble;
-      out.is_pub = false;
-      out.fp = derived_fp(i);
-      out.flip = false;
+    const Gate g = gates[i];
+    const auto w = static_cast<WireId>(first_gate + i);
+    const std::uint8_t ba = bits[g.a];
+    const std::uint8_t bb = bits[g.b];
+    // Conventional mode binds every root secret, so only SkipGate reaches
+    // the two public-input categories. Category i touches no fingerprint;
+    // category ii at most copies the secret side's.
+    if ((ba & bb & 1) != 0) {  // category i: evaluate in the clear
+      bits[w] = netlist::tt_eval(g.tt, (ba & 2) != 0, (bb & 2) != 0) ? 3 : 1;
+      continue;
     }
-    st_[first_gate + i].fp = out.fp;
-    e.act[i] = static_cast<std::uint8_t>(act);
-    e.pass_src[i] = src;
-    e.wire_bits[first_gate + i] = pack_bits(out);
+    if (((ba | bb) & 1) != 0) {  // category ii: restrict to the secret side
+      const bool a_pub = (ba & 1) != 0;
+      const netlist::UnaryTable u = a_pub ? netlist::tt_restrict_a(g.tt, (ba & 2) != 0)
+                                          : netlist::tt_restrict_b(g.tt, (bb & 2) != 0);
+      if (netlist::unary_is_const(u)) {
+        bits[w] = u == netlist::kUnOne ? 3 : 1;
+        continue;
+      }
+      acts[i] = static_cast<std::uint8_t>(a_pub ? PlanAct::PassB : PlanAct::PassA);
+      bits[w] = static_cast<std::uint8_t>(((a_pub ? bb : ba) & 4) ^ (u == netlist::kUnNot ? 4 : 0));
+      link_pass(w, a_pub ? g.b : g.a);
+    } else {
+      const Decision d = decide(g, bits, acts);
+      acts[i] = static_cast<std::uint8_t>(d.act);
+      srcs[i] = d.src;
+      bits[w] = d.bits;
+      settle(w, g, d.act, d.src, d.act == PlanAct::Garble ? derived_fp(i) : Block{});
+    }
     // The touch list drives hit verification and the backward sweep: every
     // non-Public action plus every fingerprint-dependent Public collapse
     // (two secret inputs, category iii / constant-affine).
-    if (act != PlanAct::Public || (!a.is_pub && !b.is_pub)) {
-      e.touch.push_back(static_cast<std::uint32_t>(i));
+    touch_.push_back(static_cast<std::uint32_t>(i));
+  }
+  e.touch.assign(touch_.begin(), touch_.end());
+}
+
+Planner::Decision Planner::decide(const Gate& g, const std::uint8_t* bits,
+                                  const std::uint8_t* acts) const {
+  const bool skipgate = opts_.mode == Mode::SkipGate;
+  const std::uint8_t fa = bits[g.a] & 4;
+  const std::uint8_t fb = bits[g.b] & 4;
+  // A unary residual function of one surviving secret input: a constant
+  // output, a wire or an inverter (paper Figures 1 and 2).
+  const auto unary = [](netlist::UnaryTable u, PlanAct pass, std::uint8_t flip) {
+    if (netlist::unary_is_const(u)) {
+      return Decision{PlanAct::Public, 0, static_cast<std::uint8_t>(u == netlist::kUnOne ? 3 : 1)};
+    }
+    return Decision{pass, 0, static_cast<std::uint8_t>(flip ^ (u == netlist::kUnNot ? 4 : 0))};
+  };
+  if (skipgate && fp_[g.a] == fp_[g.b]) {  // category iii
+    return unary(netlist::tt_restrict_diag(g.tt, fa != fb), PlanAct::PassA, fa);
+  }
+  if (!netlist::tt_is_affine(g.tt)) return Decision{PlanAct::Garble, 0, 0};  // category iv
+  // Free under free-XOR.
+  if (g.tt == netlist::kTtZero || g.tt == netlist::kTtOne) {
+    const bool one = g.tt == netlist::kTtOne;
+    if (skipgate) return Decision{PlanAct::Public, 0, static_cast<std::uint8_t>(one ? 3 : 1)};
+    return Decision{one ? PlanAct::PassC1 : PlanAct::PassC0, 0,
+                    bits[one ? netlist::kConst1 : netlist::kConst0]};
+  }
+  if (netlist::tt_ignores_a(g.tt)) {
+    return unary(netlist::tt_restrict_a(g.tt, false), PlanAct::PassB, fb);
+  }
+  if (netlist::tt_ignores_b(g.tt)) {
+    return unary(netlist::tt_restrict_b(g.tt, false), PlanAct::PassA, fa);
+  }
+  // XOR / XNOR of two live secrets.
+  const auto flip = static_cast<std::uint8_t>(fa ^ fb ^ (g.tt == netlist::kTtXnor ? 4 : 0));
+  if (skipgate) {
+    // XOR-cancellation peephole: the 1-AND multiplexer f ^ (s & (t^f)) with
+    // a public select degenerates to f ^ (t ^ f) == t. Detecting that the
+    // result carries exactly an existing wire's label (the paper's "the MUX
+    // acts as a wire") releases the unselected side's label from the
+    // needed-cone, so its producing gates are skipped. A side's pass root is
+    // the wire whose label it forwards; a FreeXor's operands are both
+    // secret, so their fingerprints are live.
+    const Block out = fp_[g.a] ^ fp_[g.b];
+    const WireId first_gate = nl_.first_gate_wire();
+    for (const WireId side : {g.a, g.b}) {
+      const WireId r = pass_root_[side];
+      if (pass_depth_[side] > kMaxPassHops || r < first_gate) continue;
+      const std::size_t gi = r - first_gate;
+      if (acts[gi] != static_cast<std::uint8_t>(PlanAct::FreeXor)) continue;
+      const Gate& g2 = nl_.gates[gi];
+      if (fp_[g2.a] == out) return Decision{PlanAct::PassSrc, g2.a, flip};
+      if (fp_[g2.b] == out) return Decision{PlanAct::PassSrc, g2.b, flip};
     }
   }
+  return Decision{PlanAct::FreeXor, 0, flip};
+}
+
+void Planner::link_pass(WireId w, WireId src) {
+  fp_[w] = fp_[src];
+  pass_root_[w] = pass_root_[src];
+  pass_depth_[w] = std::min<std::uint8_t>(pass_depth_[src] + 1, kMaxPassHops + 1);
+}
+
+void Planner::settle(WireId w, const Gate& g, PlanAct act, WireId src, const Block& garble_fp) {
+  switch (act) {
+    case PlanAct::Public: return;
+    case PlanAct::PassA: link_pass(w, g.a); return;
+    case PlanAct::PassB: link_pass(w, g.b); return;
+    case PlanAct::PassSrc: link_pass(w, src); return;
+    case PlanAct::PassC0: fp_[w] = fp_[netlist::kConst0]; break;
+    case PlanAct::PassC1: fp_[w] = fp_[netlist::kConst1]; break;
+    case PlanAct::FreeXor: fp_[w] = fp_[g.a] ^ fp_[g.b]; break;
+    case PlanAct::Garble: fp_[w] = garble_fp; break;
+  }
+  pass_root_[w] = w;
+  pass_depth_[w] = 0;
 }
 
 bool Planner::verify_touch(const Entry& e) {
@@ -505,64 +499,36 @@ bool Planner::verify_touch(const Entry& e) {
   // the planner's state after a verified hit is identical to a fresh
   // classification — and a failed verification needs no stream rollback.
   // Untouched gates are Public with a public input: no fingerprint exists,
-  // no decision can drift.
+  // no decision can drift. Being pure in (epoch, gate), the entry's
+  // category-iv fingerprints are derived up front in one pipelined batch.
   const WireId first_gate = nl_.first_gate_wire();
   const bool skipgate = opts_.mode == Mode::SkipGate;
-  const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
-  const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
-
-  bool ok = true;
-  for (std::size_t t = 0; t < e.touch.size() && ok; ++t) {
-    const std::size_t i = e.touch[t];
-    const WireId w = first_gate + static_cast<WireId>(i);
-    const Gate g = nl_.gates[i];
-    const PlanAct act = static_cast<PlanAct>(e.act[i]);
-
-    // Re-derive the expected action for every gate whose classification can
-    // depend on a fingerprint comparison — both secret inputs in SkipGate
-    // mode — mirroring the forward pass branch for branch (the public/flip
-    // structure is pinned by the signature/key; only fingerprints can
-    // drift). Conventional mode makes no fingerprint comparison.
-    if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
-      PlanAct expect;
-      WireId expect_src = kNoWire;
-      if (st_[g.a].fp == st_[g.b].fp) {  // category iii
-        const netlist::UnaryTable u =
-            netlist::tt_restrict_diag(g.tt, wire_flip(g.a) != wire_flip(g.b));
-        expect = netlist::unary_is_const(u) ? PlanAct::Public : PlanAct::PassA;
-      } else if (netlist::tt_is_affine(g.tt)) {
-        if (g.tt == netlist::kTtZero || g.tt == netlist::kTtOne) {
-          expect = PlanAct::Public;
-        } else if (netlist::tt_ignores_a(g.tt)) {
-          expect = PlanAct::PassB;  // non-const unary of b
-        } else if (netlist::tt_ignores_b(g.tt)) {
-          expect = PlanAct::PassA;  // non-const unary of a
-        } else {  // XOR of two live secrets
-          const Block out_fp = st_[g.a].fp ^ st_[g.b].fp;
-          const WireId src = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
-                                               wire_pub, g.a, g.b, out_fp);
-          expect = src == kNoWire ? PlanAct::FreeXor : PlanAct::PassSrc;
-          expect_src = src;
-        }
-      } else {  // category iv
-        expect = PlanAct::Garble;
-      }
-      ok = act == expect && (expect != PlanAct::PassSrc || e.pass_src[i] == expect_src);
-      if (!ok) break;
-    }
-
-    switch (act) {
-      case PlanAct::Public: break;
-      case PlanAct::PassA: st_[w].fp = st_[g.a].fp; break;
-      case PlanAct::PassB: st_[w].fp = st_[g.b].fp; break;
-      case PlanAct::PassC0: st_[w].fp = st_[netlist::kConst0].fp; break;
-      case PlanAct::PassC1: st_[w].fp = st_[netlist::kConst1].fp; break;
-      case PlanAct::PassSrc:
-      case PlanAct::FreeXor: st_[w].fp = st_[g.a].fp ^ st_[g.b].fp; break;
-      case PlanAct::Garble: st_[w].fp = derived_fp(i); break;
+  const std::uint8_t* const bits = e.wire_bits.data();
+  const std::uint8_t* const acts = e.act.data();
+  garble_fp_.clear();
+  for (const std::uint32_t i : e.touch) {
+    if (acts[i] == static_cast<std::uint8_t>(PlanAct::Garble)) {
+      garble_fp_.push_back(derived_plaintext(i, fp_epoch_));
     }
   }
-  return ok;
+  fp_gen_.encrypt_batch(garble_fp_.data(), garble_fp_.size());
+  const Block* next_garble_fp = garble_fp_.data();
+
+  for (const std::uint32_t i : e.touch) {
+    const Gate& g = nl_.gates[i];
+    const auto act = static_cast<PlanAct>(acts[i]);
+    const WireId src = e.pass_src[i];
+    // Re-decide every gate whose classification can depend on a fingerprint
+    // comparison — both inputs secret in SkipGate mode (the public/flip
+    // structure is pinned by the signature; only fingerprints can drift).
+    // Conventional mode makes no fingerprint comparison.
+    if (skipgate && ((bits[g.a] | bits[g.b]) & 1) == 0) {
+      const Decision d = decide(g, bits, acts);
+      if (d.act != act || d.src != src) return false;
+    }
+    settle(first_gate + i, g, act, src, act == PlanAct::Garble ? *next_garble_fp++ : Block{});
+  }
+  return true;
 }
 
 bool Planner::wire_public(WireId w) const { return (cur_->wire_bits[w] & 1) != 0; }
@@ -670,16 +636,20 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
 }
 
 void Planner::latch(const CyclePlan& plan) {
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    const Dff& d = nl_.dffs[i];
-    if (plan.wire_public(d.d)) {
-      dff_st_[i] = pub_state(plan.wire_value(d.d) != d.d_invert);
-    } else {
-      dff_st_[i].is_pub = false;
-      dff_st_[i].val = false;
-      dff_st_[i].flip = plan.wire_flip(d.d) != d.d_invert;
-      dff_st_[i].fp = st_[d.d].fp;
-    }
+  // Raw pointers, as in begin_cycle(). A latched bit pattern is the D
+  // input's with the inversion applied to its value (public) or flip
+  // (secret) bit.
+  const std::uint8_t* const bits = plan.wire_bits;
+  const Block* const fp = fp_.data();
+  const Dff* const dffs = nl_.dffs.data();
+  std::uint8_t* const dff_bits = dff_bits_.data();
+  Block* const dff_fp = dff_fp_.data();
+  for (std::size_t i = 0; i < dff_bits_.size(); ++i) {
+    const Dff& d = dffs[i];
+    const std::uint8_t b = bits[d.d];
+    const bool pub = (b & 1) != 0;
+    dff_bits[i] = d.d_invert ? static_cast<std::uint8_t>(b ^ (pub ? 2 : 4)) : b;
+    if (!pub) dff_fp[i] = fp[d.d];
   }
 }
 

@@ -25,6 +25,16 @@
 // the paper's whole point), so repeated cycles skip classification entirely.
 // A cache miss, or a hit whose re-verification finds fingerprint drift,
 // classifies the whole netlist afresh in gate order.
+//
+// Classification cost follows the secret work, not the gate count. A gate
+// with a public input (categories i and ii: plain logic simulation, most of
+// the ARM core) reads and writes only the packed wire bits, plus one
+// fingerprint copy when it passes a secret input through. Only gates with two
+// secret inputs reach decide(), the one decision procedure that a fresh
+// classification and a hit's verification walk share. Every secret wire
+// also records its pass root: the wire its label is forwarded from through
+// pass actions, with a saturating hop count, so the XOR-cancellation
+// peephole finds its FreeXor partner in O(1) instead of walking the chain.
 #pragma once
 
 #include <array>
@@ -58,14 +68,6 @@ enum class PlanAct : std::uint8_t {
   PassC0,
   PassC1,
   PassSrc,
-};
-
-/// Planner view of one wire for the current cycle.
-struct WireState {
-  bool is_pub = true;
-  bool val = false;       // public value
-  bool flip = false;      // inversion parity of the carried secret combination
-  crypto::Block fp{};     // fingerprint of the carried secret combination
 };
 
 /// One cycle's complete public plan, shared verbatim by both party sessions:
@@ -146,7 +148,8 @@ class PlanCache {
   /// every gate the hit-verification and backward passes must visit:
   /// non-Public actions plus Public collapses of two secret inputs
   /// (category iii) — on SkipGate workloads a small fraction of the netlist,
-  /// which is the planner's hot-path leverage.
+  /// which is the planner's hot-path leverage. `act` and `pass_src` are zero
+  /// (Public, no source) at every gate outside `touch`.
   struct Entry {
     std::uint64_t hash = 0;
     std::vector<std::uint32_t> sig;
@@ -155,6 +158,9 @@ class PlanCache {
     std::vector<std::uint8_t> wire_bits;
     std::vector<std::uint32_t> touch;
     std::array<Backward, 2> backward;  ///< indexed by is_final
+
+    /// Zeroes act and pass_src at the touched gates and empties `touch`.
+    void clear_touched();
   };
   using LruList = std::list<Entry>;
 
@@ -243,6 +249,14 @@ class Planner {
  private:
   using Entry = PlanCache::Entry;
 
+  /// Outcome of decide(): the action, its PassSrc source (0 otherwise) and
+  /// the output wire's packed public/value/flip bits.
+  struct Decision {
+    PlanAct act;
+    netlist::WireId src;
+    std::uint8_t bits;
+  };
+
   crypto::Block fresh_fp();
   /// Fingerprint of a category-iv gate output: a pure function of the
   /// cycle's fp epoch and the gate index, so the value is identical whether
@@ -250,20 +264,37 @@ class Planner {
   /// Disjoint from the root fingerprint stream by construction (top
   /// plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
-  void bind_secret_fp(WireState& s);
-  void build_signature();
+  /// Builds the canonical entry signature into sig_ and returns its 64-bit
+  /// FNV-1a hash, folded in the same pass.
+  std::uint64_t build_signature();
   /// Fresh forward classification of the whole netlist into `e`, in gate
   /// order (also fills e's root wire bits and touch list).
   void classify(Entry& e);
+  /// The one decision procedure for a gate whose inputs are both secret
+  /// (every gate in Conventional mode): category iii, the affine cases with
+  /// the XOR-cancellation peephole, and category iv. `bits` and `acts` are
+  /// the entry's wire bits and actions of earlier gates; fingerprints and
+  /// pass roots are the current cycle's. classify() and verify_touch() both
+  /// call it, so a verified hit reaches exactly a fresh classification's
+  /// decisions.
+  [[nodiscard]] Decision decide(const netlist::Gate& g, const std::uint8_t* bits,
+                                const std::uint8_t* acts) const;
+  /// Records the fingerprint and pass root of gate output `w` under `act`;
+  /// a Garble output takes `garble_fp`.
+  void settle(netlist::WireId w, const netlist::Gate& g, PlanAct act, netlist::WireId src,
+              const crypto::Block& garble_fp);
+  /// `w` forwards `src`'s label: same fingerprint, same pass root, one hop
+  /// deeper.
+  void link_pass(netlist::WireId w, netlist::WireId src);
   /// Walks e's touch list once, propagating fingerprints through the
-  /// cached actions AND verifying every fingerprint-dependent
-  /// classification decision (category iii, XOR cancellation, category iv)
-  /// against the current fingerprints. Returns false when any decision would
-  /// differ — the cycle's XOR-linear fingerprint structure drifted from the
-  /// cached state, which the equality-class keys cannot see — and the
-  /// caller must reclassify. Failure is side-effect free: derived
-  /// fingerprints are pure functions of (epoch, gate), so there is no
-  /// stream cursor to restore and partially-written fingerprints are
+  /// cached actions AND re-deciding every fingerprint-dependent
+  /// classification (two secret inputs: category iii, XOR cancellation,
+  /// category iv) against the current fingerprints. Returns false when any
+  /// decision would differ — the cycle's XOR-linear fingerprint structure
+  /// drifted from the cached state, which the equality-class keys cannot
+  /// see — and the caller must reclassify. Failure is side-effect free:
+  /// derived fingerprints are pure functions of (epoch, gate), so there is
+  /// no stream cursor to restore and partially-written fingerprints are
   /// rewritten by the fallback classification.
   [[nodiscard]] bool verify_touch(const Entry& e);
   void backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final);
@@ -289,13 +320,24 @@ class Planner {
   std::uint64_t fp_epoch_ = 0;
 
   // Per-wire cycle state. Packed public/value/flip bits live in the current
-  // entry's wire_bits; st_ carries fingerprints, plus valid bits only for
-  // root wires (gate-range bits in st_ are unspecified — always read bits
-  // from the entry).
-  std::vector<WireState> st_;
-  std::vector<WireState> fixed_st_;
-  std::vector<WireState> dff_st_;
-  WireState const_st_[2];
+  // entry's wire_bits; root_bits_ holds them for the root wires, bound by
+  // reset() (constants, fixed inputs) and begin_cycle() (streamed inputs,
+  // flip-flops). fp_ is each wire's fingerprint, meaningful
+  // on secret wires only (a public wire's slot is stale). pass_root_ and
+  // pass_depth_ record, per secret wire, the wire its label is forwarded from
+  // through PassA/PassB/PassSrc actions and the number of such hops,
+  // saturating at one past the peephole's 64-hop cap. Root wires are their
+  // own pass roots.
+  std::vector<crypto::Block> fp_;
+  std::vector<std::uint8_t> root_bits_;
+  std::vector<netlist::WireId> pass_root_;
+  std::vector<std::uint8_t> pass_depth_;
+  std::vector<std::uint32_t> touch_;      ///< classify's touch-list scratch
+  std::vector<crypto::Block> garble_fp_;  ///< verify_touch's batched category-iv fps
+  // Flip-flop states for the next begin_cycle(), staged by reset() and
+  // latch(): a flip-flop's D input may itself be a flip-flop wire.
+  std::vector<std::uint8_t> dff_bits_;
+  std::vector<crypto::Block> dff_fp_;
   std::vector<std::uint8_t> needed_;  ///< backward-sweep scratch
   std::size_t non_free_per_cycle_ = 0;
 

@@ -17,6 +17,7 @@
 #include "core/plan.h"
 #include "core/skipgate.h"
 #include "crypto/rng.h"
+#include "programs/programs.h"
 #include "test_util.h"
 
 namespace {
@@ -507,6 +508,139 @@ TEST(WarmState, IsRoleScoped) {
   swapped.fixed_cycles = 1;
   swapped.exec.evaluator_warm = &gwarm;  // garbler-role state, evaluator slot
   EXPECT_THROW(core::SkipGateDriver(nl, swapped).run({false}, {false}), std::invalid_argument);
+}
+
+/// What one planner-only replay of a program's trajectory produced.
+struct Trajectory {
+  std::uint64_t digest = 1469598103934665603ull;  ///< FNV-1a over every cycle's plan
+  std::uint64_t cycles = 0;
+  std::uint64_t hits = 0;
+};
+
+void fold(Trajectory& t, const void* p, std::size_t n) {
+  for (const auto* b = static_cast<const unsigned char*>(p); n-- > 0; ++b) {
+    t.digest = (t.digest ^ *b) * 1099511628211ull;
+  }
+}
+
+/// Replays the planner alone over an ARM program's halt-driven trajectory,
+/// the way each party endpoint drives it (reset, then begin / forward /
+/// finish / latch per cycle until the public halt wire rises), and folds
+/// every cycle's plan into one digest: `emitted`, the work list with each
+/// listed gate's act, emit bit and pass source, and all of `wire_bits`.
+Trajectory replay(const arm::CpuNetlist& cpu, const PlannerOptions& opts) {
+  Trajectory t;
+  Planner planner(cpu.nl, opts);
+  planner.reset({});
+  for (bool is_final = false; !is_final && t.cycles < 4096; ++t.cycles) {
+    planner.begin_cycle({});
+    planner.forward();
+    EXPECT_TRUE(planner.wire_public(cpu.halt_wire));
+    is_final = planner.wire_value(cpu.halt_wire);
+    const CyclePlan plan = planner.finish(is_final);
+    fold(t, &plan.emitted, sizeof plan.emitted);
+    for (std::size_t k = 0; k < plan.work_count; ++k) {
+      const std::uint32_t i = plan.work[k];
+      fold(t, &i, sizeof i);
+      fold(t, &plan.act[i], 1);
+      fold(t, &plan.emit[i], 1);
+      fold(t, &plan.pass_src[i], sizeof plan.pass_src[i]);
+    }
+    fold(t, plan.wire_bits, plan.num_wires);
+    if (!is_final) planner.latch(plan);
+  }
+  t.hits = planner.cache_hits();
+  return t;
+}
+
+TEST(PlanTrajectory, WholeRunPlansMatchRecordedDigests) {
+  // Every cycle's plan of two real programs, pinned by digest: uncached,
+  // through a transient per-run cache, and through a shared cache on a cold
+  // and then a warm run (Hamming-160's warm run is served entirely from
+  // hits; MatrixMult3's trajectory outgrows the budget, so its warm run
+  // recycles evicted entries instead).
+  const struct {
+    programs::Program prog;
+    std::uint64_t cycles;
+    std::uint64_t digest;
+  } cases[] = {
+      {programs::hamming(5), 97, 0x367646a3cb8d6f95ull},
+      {programs::matmult(3), 316, 0x6699814b124a5656ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.prog.name);
+    const arm::Arm2Gc machine(c.prog.cfg, c.prog.words);
+    PlannerOptions uncached;
+    uncached.cache = false;
+    const Trajectory ref = replay(machine.cpu(), uncached);
+    EXPECT_EQ(ref.cycles, c.cycles);
+    EXPECT_EQ(ref.digest, c.digest);
+    EXPECT_EQ(replay(machine.cpu(), PlannerOptions{}).digest, c.digest);
+
+    core::PlanCache shared;
+    PlannerOptions warm;
+    warm.shared_cache = &shared;
+    EXPECT_EQ(replay(machine.cpu(), warm).digest, c.digest);
+    const Trajectory second = replay(machine.cpu(), warm);
+    EXPECT_EQ(second.digest, c.digest);
+    if (c.cycles < shared.capacity()) {
+      EXPECT_EQ(second.hits, c.cycles);
+    }
+  }
+}
+
+/// A public-select multiplexer f ^ (s & (t ^ f)) with s = 1, whose selected
+/// side reaches the final XOR through a chain of `hops` pass gates: the
+/// AND with the public select, then hops - 1 further ANDs with it.
+netlist::Netlist pass_chain_mux(std::uint32_t hops) {
+  netlist::Netlist nl;
+  nl.inputs.push_back(netlist::Input{netlist::Owner::Alice, false, 0, "t"});
+  nl.inputs.push_back(netlist::Input{netlist::Owner::Bob, false, 0, "f"});
+  nl.inputs.push_back(netlist::Input{netlist::Owner::Public, false, 0, "s"});
+  const netlist::WireId t = nl.input_wire(0);
+  const netlist::WireId f = nl.input_wire(1);
+  const netlist::WireId s = nl.input_wire(2);
+  nl.gates.push_back(netlist::Gate{t, f, netlist::kTtXor});
+  for (std::uint32_t h = 0; h < hops; ++h) {
+    nl.gates.push_back(netlist::Gate{s, nl.gate_wire(nl.gates.size() - 1), netlist::kTtAnd});
+  }
+  nl.gates.push_back(netlist::Gate{f, nl.gate_wire(nl.gates.size() - 1), netlist::kTtXor});
+  nl.outputs.push_back(netlist::OutputPort{nl.gate_wire(nl.gates.size() - 1), false, "y"});
+  return nl;
+}
+
+TEST(PlanCancellation, PassChainCapIsSixtyFourHops) {
+  // The XOR-cancellation peephole follows at most 64 pass hops back to the
+  // FreeXor it cancels against: at 64 the mux collapses to a wire carrying
+  // t, at 65 it stays a free XOR. Cached (the second cycle is a verified
+  // hit) and uncached planners must agree.
+  for (const std::uint32_t hops : {64u, 65u}) {
+    SCOPED_TRACE(hops);
+    const netlist::Netlist nl = pass_chain_mux(hops);
+    const std::size_t mux = nl.gates.size() - 1;
+    core::PlanCache cache;
+    PlannerOptions cached;
+    cached.shared_cache = &cache;
+    PlannerOptions uncached;
+    uncached.cache = false;
+    for (const PlannerOptions& opts : {cached, uncached}) {
+      Planner planner(nl, opts);
+      planner.reset({true});
+      for (int cycle = 0; cycle < 2; ++cycle) {
+        planner.begin_cycle({});
+        planner.forward();
+        const CyclePlan plan = planner.finish(/*is_final=*/false);
+        for (std::size_t h = 1; h <= hops; ++h) EXPECT_EQ(plan.action(h), core::PlanAct::PassB);
+        if (hops == 64) {
+          EXPECT_EQ(plan.action(mux), core::PlanAct::PassSrc);
+          EXPECT_EQ(plan.pass_src[mux], nl.input_wire(0));
+        } else {
+          EXPECT_EQ(plan.action(mux), core::PlanAct::FreeXor);
+        }
+      }
+      EXPECT_EQ(planner.cache_hits(), opts.cache ? 1u : 0u);
+    }
+  }
 }
 
 /// Differential fuzz (both party sides): randomized sequential netlists
