@@ -185,40 +185,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  benchutil::header("Ablation 6: OT backend (ideal stand-in vs IKNP extension, Hamming 160)");
+  benchutil::header("Ablation 6: IKNP OT extension (cold run vs warm session, Hamming 160)");
   {
     // The OT phase of a full garbled-ARM run: Bob's 160 input bits ride one
-    // reset batch. Ideal ships the label pair (32 B/choice); IKNP pays the
-    // kappa-bit column plus two hashed ciphertexts per choice and a one-time
-    // base phase that a warm session amortizes away. Everything but the OT
-    // traffic is bit-identical across backends (pinned in tests/ot_test.cpp).
+    // reset batch. IKNP pays the kappa-bit column plus two hashed
+    // ciphertexts per choice and a one-time base phase that a warm session
+    // amortizes away. Everything but the OT traffic is bit-identical across
+    // backends (pinned in tests/ot_test.cpp).
     const programs::Program p = programs::hamming(5);
     std::vector<std::uint32_t> a(5), b(5);
     for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
     for (auto& w : b) w = static_cast<std::uint32_t>(rng.next_u64());
     const arm::Arm2Gc machine(p.cfg, p.words);
 
-    for (const auto backend : {gc::OtBackend::Ideal, gc::OtBackend::Iknp}) {
-      core::ExecOptions exec;
-      exec.ot_backend = backend;
-      arm::Arm2GcResult last;
-      const double cold_ms = best_wall_ms(3, [&] { last = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec); });
-      const char* name = backend == gc::OtBackend::Ideal ? "ideal" : "iknp";
-      std::printf("%-6s cold run %7.2f ms   ot phase %6.3f ms   ot bytes %9s  (%s choices, %s base OTs)\n",
-                  name, cold_ms, static_cast<double>(last.stats.ot_wall_ns) * 1e-6,
-                  num(last.stats.comm.ot_bytes).c_str(), num(last.stats.ot_choices).c_str(),
-                  num(last.stats.ot_base_ots).c_str());
-      if (benchutil::json().enabled()) {
-        const std::string pre = std::string("hamming160.ot_") + name;
-        benchutil::json().add(pre + "_cold_ms", cold_ms);
-        benchutil::json().add(pre + "_phase_ms", static_cast<double>(last.stats.ot_wall_ns) * 1e-6);
-        benchutil::json().add(pre + "_bytes", last.stats.comm.ot_bytes);
-      }
+    core::ExecOptions iknp;
+    iknp.ot_backend = gc::OtBackend::Iknp;
+    arm::Arm2GcResult last;
+    const double cold_ms = best_wall_ms(3, [&] { last = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, iknp); });
+    std::printf("iknp   cold run %7.2f ms   ot phase %6.3f ms   ot bytes %9s  (%s choices, %s base OTs)\n",
+                cold_ms, static_cast<double>(last.stats.ot_wall_ns) * 1e-6,
+                num(last.stats.comm.ot_bytes).c_str(), num(last.stats.ot_choices).c_str(),
+                num(last.stats.ot_base_ots).c_str());
+    if (benchutil::json().enabled()) {
+      benchutil::json().add("hamming160.ot_iknp_cold_ms", cold_ms);
+      benchutil::json().add("hamming160.ot_iknp_phase_ms", static_cast<double>(last.stats.ot_wall_ns) * 1e-6);
+      benchutil::json().add("hamming160.ot_iknp_bytes", last.stats.comm.ot_bytes);
     }
 
     // Warm IKNP session: base OTs run once, then every run rides extension.
-    core::ExecOptions iknp;
-    iknp.ot_backend = gc::OtBackend::Iknp;
     arm::Arm2Gc::Session session(machine, iknp);
     arm::Arm2GcResult first = session.run(a, b);
     arm::Arm2GcResult warm;
@@ -236,8 +230,8 @@ int main(int argc, char** argv) {
 
   benchutil::header("Ablation 7: precomputed OT (online-path bytes and wall, Hamming 160)");
   {
-    // The online/offline OT split across all three backends: ideal and IKNP
-    // pay every OT byte on the critical path; the precomputed pool banks
+    // The online/offline OT split across both backends: IKNP pays every OT
+    // byte on the critical path; the precomputed pool banks
     // random OTs through bulk IKNP refills (offline) and serves the online
     // choices as derandomization frames — ~34 B/choice amortized against
     // IKNP's ~192 B floor at streaming batch sizes, with outputs and table
@@ -248,16 +242,13 @@ int main(int argc, char** argv) {
     for (auto& w : b) w = static_cast<std::uint32_t>(rng.next_u64());
     const arm::Arm2Gc machine(p.cfg, p.words);
 
-    for (const auto backend :
-         {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+    for (const auto backend : {gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
       core::ExecOptions exec;
       exec.ot_backend = backend;
       arm::Arm2GcResult last;
       const double cold_ms = best_wall_ms(
           3, [&] { last = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec); });
-      const char* name = backend == gc::OtBackend::Ideal
-                             ? "ideal"
-                             : (backend == gc::OtBackend::Iknp ? "iknp" : "precomp");
+      const char* name = backend == gc::OtBackend::Iknp ? "iknp" : "precomp";
       std::printf(
           "%-8s cold %7.2f ms   online ot %6.3f ms / %9s B   offline ot %6.3f ms / %9s B\n",
           name, cold_ms, static_cast<double>(last.stats.ot_wall_ns) * 1e-6,

@@ -157,14 +157,14 @@ BENCHMARK(BM_Transpose128xN)->Arg(0)->Arg(1);
 
 /// OT throughput through the batched endpoints over an in-memory duplex,
 /// base OTs amortized across the run (warm endpoints, as in a session).
-/// arg0: backend (0 = ideal stand-in, 1 = IKNP), arg1: batch size.
+/// arg0: batch size.
 static void BM_OtExtension(benchmark::State& state) {
-  const auto backend = state.range(0) == 0 ? gc::OtBackend::Ideal : gc::OtBackend::Iknp;
-  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto m = static_cast<std::size_t>(state.range(0));
   gc::InMemoryDuplex duplex;
   const crypto::Block seed = crypto::block_from_u64(23);
-  auto sender = gc::make_ot_sender(backend, duplex.garbler_end(), seed, nullptr);
-  auto receiver = gc::make_ot_receiver(backend, duplex.evaluator_end(), seed, nullptr);
+  auto sender = gc::make_ot_sender(gc::OtBackend::Iknp, duplex.garbler_end(), seed, nullptr);
+  auto receiver =
+      gc::make_ot_receiver(gc::OtBackend::Iknp, duplex.evaluator_end(), seed, nullptr);
   gc::Garbler g(crypto::block_from_u64(29));
   std::vector<crypto::Block> x0(m), got(m);
   for (auto& b : x0) b = g.fresh_label();
@@ -180,18 +180,12 @@ static void BM_OtExtension(benchmark::State& state) {
     benchmark::DoNotOptimize(got.data());
     pattern = pattern * 6364136223846793005ull + 1442695040888963407ull;
   }
-  state.SetLabel(backend == gc::OtBackend::Ideal ? "ideal" : "iknp");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
   state.counters["bytes_per_ot"] = benchmark::Counter(
       static_cast<double>(duplex.stats().ot_bytes) /
       static_cast<double>(sender->stats().choices ? sender->stats().choices : 1));
 }
-BENCHMARK(BM_OtExtension)
-    ->Args({0, 160})
-    ->Args({1, 160})
-    ->Args({0, 4096})
-    ->Args({1, 4096})
-    ->Args({1, 1});
+BENCHMARK(BM_OtExtension)->Arg(160)->Arg(4096)->Arg(1);
 
 /// Online cost of the precomputed backend (gc/otpre.h): pure
 /// derandomization against a banked random-OT pool. Refills run outside the
@@ -297,14 +291,12 @@ BENCHMARK(BM_ProtocolArmHamming160)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecon
 /// inside OT batches and true framed OT bytes, per backend, with the
 /// online/offline split (identical to comm.ot_bytes except under precomp,
 /// where the pool refills move off the online path).
-/// arg0: 0 = ideal stand-in, 1 = IKNP extension, 2 = precomputed pool.
+/// arg0: the gc::OtBackend value, 1 = IKNP extension, 2 = precomputed pool.
 static void BM_ProtocolArmHamming160OtPhase(benchmark::State& state) {
   const programs::Program prog = programs::hamming(5);
   const arm::Arm2Gc machine(prog.cfg, prog.words);
   core::ExecOptions exec;
-  exec.ot_backend = state.range(0) == 0   ? gc::OtBackend::Ideal
-                    : state.range(0) == 1 ? gc::OtBackend::Iknp
-                                          : gc::OtBackend::Precomp;
+  exec.ot_backend = static_cast<gc::OtBackend>(state.range(0));
   const std::vector<std::uint32_t> a = {1, 2, 3, 4, 5};
   const std::vector<std::uint32_t> b = {6, 7, 8, 9, 10};
   std::uint64_t ot_ns = 0;
@@ -321,9 +313,7 @@ static void BM_ProtocolArmHamming160OtPhase(benchmark::State& state) {
     online_bytes = r.stats.ot_online_bytes;
     choices = r.stats.ot_choices;
   }
-  state.SetLabel(state.range(0) == 0   ? "ot=ideal"
-                 : state.range(0) == 1 ? "ot=iknp"
-                                       : "ot=precomp");
+  state.SetLabel(exec.ot_backend == gc::OtBackend::Iknp ? "ot=iknp" : "ot=precomp");
   state.counters["ot_ms"] = static_cast<double>(ot_ns) * 1e-6;
   state.counters["ot_offline_ms"] = static_cast<double>(ot_offline_ns) * 1e-6;
   state.counters["ot_bytes"] = static_cast<double>(ot_bytes);
@@ -331,7 +321,6 @@ static void BM_ProtocolArmHamming160OtPhase(benchmark::State& state) {
   state.counters["ot_choices"] = static_cast<double>(choices);
 }
 BENCHMARK(BM_ProtocolArmHamming160OtPhase)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);

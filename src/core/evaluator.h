@@ -5,7 +5,7 @@
 //
 // OT schedule: each binding phase is split in two. ot_reset()/ot_begin()
 // queue the phase's Bob choice bits and emit the receiver-side OT message
-// (the IKNP column matrix; a no-op frame-wise for the ideal backend) —
+// (the IKNP column matrix, or Precomp's correction bits) —
 // these run *before* the garbler's matching phase so the extension's
 // receiver-first round trip works under the lock-step schedule. The regular
 // reset()/begin_cycle() then consume the garbler's direct labels in stream
@@ -31,7 +31,7 @@ class EvaluatorSession {
   /// evaluator holds no label-generating state. `warm_ot` (optional, IKNP
   /// only) carries base-OT state across runs of one pairing.
   EvaluatorSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
-                   gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+                   gc::OtBackend ot_backend = gc::OtBackend::Iknp,
                    gc::IknpReceiverState* warm_ot = nullptr,
                    gc::RandomOtPoolReceiver* warm_ot_pool = nullptr,
                    std::size_t ot_pool = gc::kDefaultOtPoolBatch);

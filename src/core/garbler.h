@@ -1,8 +1,8 @@
 // Garbler-side (Alice) session: owns the label generator, the free-XOR
 // offset R and every garbler label; consumes the public CyclePlan and talks
 // to the evaluator only through a gc::Transport. It never sees Bob's inputs
-// (Bob's labels go out through the batched OT endpoint — ideal stand-in or
-// real IKNP extension, per gc::OtBackend) and never reads from the planner's
+// (Bob's labels go out through the batched OT endpoint — IKNP extension or
+// Precomp random-OT pool, per gc::OtBackend) and never reads from the planner's
 // fingerprint state — the plan is the entire shared contract.
 //
 // OT schedule: Bob-owned bits bind by enqueueing the (x0, x0^R) pair; the
@@ -32,7 +32,7 @@ class GarblerSession {
   /// state) and `ot_pool` sizes a fresh Precomp pool when no warm one is
   /// handed in.
   GarblerSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
-                 gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+                 gc::OtBackend ot_backend = gc::OtBackend::Iknp,
                  gc::IknpSenderState* warm_ot = nullptr,
                  gc::RandomOtPoolSender* warm_ot_pool = nullptr,
                  std::size_t ot_pool = gc::kDefaultOtPoolBatch);

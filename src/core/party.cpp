@@ -43,9 +43,9 @@ WarmState* checked_warm(const netlist::Netlist& nl, const PartyOptions& opts, bo
                                 "-role WarmState");
   }
   if (warm != nullptr && warm->ot_backend() != opts.ot_backend) {
-    // An Ideal-built WarmState holds no extension state: handing it to an
-    // Iknp endpoint would silently redo the base OTs every run (and the
-    // reverse would silently drop warm state), so mismatches fail loudly.
+    // The two backends keep different warm state (extension streams vs a
+    // random-OT pool): handing one to the other's endpoint would silently
+    // redo the base OTs every run, so mismatches fail loudly.
     throw std::invalid_argument("party: WarmState OT backend differs from PartyOptions");
   }
   if (warm != nullptr && opts.ot_backend == gc::OtBackend::Precomp &&
@@ -101,8 +101,8 @@ WarmState::WarmState(Role role, const Options& opts)
     } else {
       ot_receiver_ = std::make_unique<gc::IknpReceiverState>(opts_.seed);
     }
-  } else if (opts_.ot_backend == gc::OtBackend::Precomp) {
-    // The pool embeds its own IKNP state, so one handle carries both the
+  } else {
+    // Precomp: the pool embeds its own IKNP state, so one handle carries both the
     // banked random OTs and the warm base-OT state across runs.
     if (role_ == Role::Garbler) {
       otpre_sender_ = std::make_unique<gc::RandomOtPoolSender>(opts_.seed, opts_.ot_pool);

@@ -22,9 +22,10 @@
 // streams are part of the plan contract). `private_seed` is this party's own
 // randomness — labels and the free-XOR offset R for the garbler, OT receiver
 // randomness for the evaluator. It defaults to the protocol seed so
-// in-process runs stay byte-reproducible; a deployment (tools/arm2gc_party)
-// seeds it privately per process, which closes the determinism-over-secrecy
-// gap noted in gc/otext.h for everything above the base OTs.
+// in-process runs stay byte-reproducible. tools/arm2gc_party keeps that
+// public default too unless it is given `--private-seed`; only a privately
+// seeded party closes the determinism-over-secrecy gap noted in gc/otext.h
+// (for everything above the base OTs).
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,7 @@ struct RunStats {
   std::uint64_t ot_batches = 0;
   std::uint64_t ot_base_ots = 0;  ///< base OTs run this execution (0 when warm)
   /// Online/offline OT split: ot_wall_ns and ot_online_bytes cover the
-  /// per-batch critical path (for Ideal/Iknp that is every OT byte);
+  /// per-batch critical path (for Iknp that is every OT byte);
   /// ot_offline_wall_ns is pool precomputation/refill time, nonzero only
   /// under OtBackend::Precomp.
   std::uint64_t ot_wall_ns = 0;
@@ -158,10 +159,10 @@ struct PartyOptions {
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
   /// OT backend for Bob's input labels (gc/otext.h); must match the peer.
-  gc::OtBackend ot_backend = gc::OtBackend::Ideal;
+  gc::OtBackend ot_backend = gc::OtBackend::Iknp;
   /// Precomp pool refill batch size (random OTs generated per refill). The
   /// refill schedule is derived deterministically from it, so it must match
-  /// the peer; ignored by the other backends.
+  /// the peer; ignored by Iknp.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
 
   [[nodiscard]] crypto::Block own_seed() const {
@@ -191,8 +192,8 @@ class WarmState {
     std::size_t plan_cache_budget_bytes = 64u << 20;
     std::size_t cone_memo_budget_bytes = 32u << 20;  ///< removed once perfbench/ stops naming it
     /// Iknp allocates the role's extension state; Precomp the role's
-    /// random-OT pool (which embeds its own extension state); Ideal none.
-    gc::OtBackend ot_backend = gc::OtBackend::Ideal;
+    /// random-OT pool (which embeds its own extension state).
+    gc::OtBackend ot_backend = gc::OtBackend::Iknp;
     /// Precomp pool refill batch size; must equal PartyOptions::ot_pool.
     std::size_t ot_pool = gc::kDefaultOtPoolBatch;
     /// The party's private seed for the OT state (domain-separated inside).
@@ -212,10 +213,6 @@ class WarmState {
   [[nodiscard]] const ConeMemo& cone_memo() const {
     static const ConeMemo kNone;
     return kNone;
-  }
-  [[nodiscard]] bool has_ot_state() const {
-    return ot_sender_ != nullptr || ot_receiver_ != nullptr || otpre_sender_ != nullptr ||
-           otpre_receiver_ != nullptr;
   }
   /// Precomp only: random OTs banked and not yet consumed (0 otherwise).
   [[nodiscard]] std::size_t ot_pool_available() const;
@@ -266,7 +263,7 @@ class WarmState {
 // below its low-water mark, so the precompute work runs between cycles — in
 // the window where the evaluator otherwise idles waiting for the next
 // cycle's tables — instead of stalling an online derandomization batch.
-// No-ops under Ideal/Iknp. Both sides derive the refill decision from the
+// No-ops under Iknp. Both sides derive the refill decision from the
 // shared pool fill level, so the hooks must stay in the schedule for every
 // backend and transport (run() includes them).
 //

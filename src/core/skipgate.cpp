@@ -64,7 +64,7 @@ RunResult SkipGateDriver::run(const BitVec& alice_bits, const BitVec& bob_bits,
       evaluator.latch();
       // OT maintenance slot (receiver-first, like the binding phases): lets
       // the Precomp backend top up its random-OT pool between cycles. No-ops
-      // under Ideal/Iknp, but the slot stays in the schedule unconditionally
+      // under Iknp, but the slot stays in the schedule unconditionally
       // so every backend sees the same cross-party ordering.
       evaluator.ot_refill_request();
       garbler.ot_refill();

@@ -35,14 +35,14 @@ struct ExecOptions {
   /// a mismatch), so the two parties can never share mutable state.
   WarmState* garbler_warm = nullptr;
   WarmState* evaluator_warm = nullptr;
-  /// OT backend for Bob's input labels: the ideal-functionality stand-in or
-  /// real IKNP extension (gc/otext.h). Outputs, garbled tables and every
+  /// OT backend for Bob's input labels: IKNP extension or Precomp random-OT
+  /// pools on top of it (gc/otext.h). Outputs, garbled tables and every
   /// non-OT byte count are bit-identical across backends; only OT traffic
   /// and timing differ.
-  gc::OtBackend ot_backend = gc::OtBackend::Ideal;
+  gc::OtBackend ot_backend = gc::OtBackend::Iknp;
   /// Precomp random-OT pool target per refill (gc/otpre.h). Public: the
   /// refill schedule is a deterministic function of it, so both parties must
-  /// use the same value. Ignored by the other backends.
+  /// use the same value. Ignored by Iknp.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   /// Must be 1; removed once perfbench drops it (require_single_thread).
   std::size_t threads = 1;

@@ -51,71 +51,6 @@ Block check_block(const crypto::PiHash& h, Block sid, std::uint64_t batch, std::
   return h(sid ^ Block{static_cast<std::uint64_t>(m), col_bytes}, kCheckTweakTag ^ batch);
 }
 
-// ---------------------------------------------------------------------------
-// Ideal backend: the PR-3-era receiver-picks functionality, batched. One
-// frame of 2m blocks carries every queued pair; the receiver picks locally,
-// so the sender never sees a choice bit. 32 bytes per choice on the wire —
-// the old kOtBytesPerChoice constant, now an actual frame size.
-// ---------------------------------------------------------------------------
-
-class IdealOtSender final : public OtSender {
- public:
-  explicit IdealOtSender(Transport& tx) : tx_(&tx) {}
-
-  void enqueue(Block x0, Block x1) override {
-    pend_.push_back(x0);
-    pend_.push_back(x1);
-  }
-
-  void flush() override {
-    if (pend_.empty()) return;
-    const std::uint64_t t0 = now_ns();
-    tx_->send(pend_.data(), pend_.size(), Traffic::Ot);
-    stats_.choices += pend_.size() / 2;
-    stats_.batches++;
-    stats_.online_bytes += 16 * pend_.size();
-    pend_.clear();
-    stats_.wall_ns += now_ns() - t0;
-  }
-
- private:
-  Transport* tx_;
-  std::vector<Block> pend_;
-};
-
-class IdealOtReceiver final : public OtReceiver {
- public:
-  explicit IdealOtReceiver(Transport& tx) : tx_(&tx) {}
-
-  void enqueue(bool choice, Block* out) override { pend_.push_back({choice, out}); }
-
-  void request() override {}  // no receiver-side message in the ideal wiring
-
-  void finish() override {
-    if (pend_.empty()) return;
-    const std::uint64_t t0 = now_ns();
-    pairs_.resize(2 * pend_.size());
-    tx_->recv(pairs_.data(), pairs_.size());
-    for (std::size_t j = 0; j < pend_.size(); ++j) {
-      *pend_[j].out = pairs_[2 * j + (pend_[j].choice ? 1 : 0)];
-    }
-    stats_.choices += pend_.size();
-    stats_.batches++;
-    stats_.online_bytes += 16 * pairs_.size();
-    pend_.clear();
-    stats_.wall_ns += now_ns() - t0;
-  }
-
- private:
-  struct Pending {
-    bool choice;
-    Block* out;
-  };
-  Transport* tx_;
-  std::vector<Pending> pend_;
-  std::vector<Block> pairs_;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -248,7 +183,7 @@ class IknpOtSender final : public OtSender {
     A2G_COUNT("ot.base_runs");
     // Base phase, receiver-first: [sid][kappa seed pairs]. The sender keeps
     // only the seed its secret s_i selects (the unchosen one is discarded —
-    // in-process ideal wiring; see the header note).
+    // a base-OT stand-in; see the header note).
     base_.resize(1 + 2 * kOtKappa);
     tx_->recv(base_.data(), base_.size());
     st.sid_ = base_[0];
@@ -420,10 +355,7 @@ std::unique_ptr<OtSender> make_ot_sender(OtBackend backend, Transport& tx, Block
   if (backend == OtBackend::Precomp) {
     return make_precomp_ot_sender(tx, seed, warm_pool, pool_target);
   }
-  if (backend == OtBackend::Iknp) {
-    return std::make_unique<IknpOtSender>(tx, seed, warm);
-  }
-  return std::make_unique<IdealOtSender>(tx);
+  return std::make_unique<IknpOtSender>(tx, seed, warm);
 }
 
 std::unique_ptr<OtReceiver> make_ot_receiver(OtBackend backend, Transport& tx, Block seed,
@@ -433,10 +365,7 @@ std::unique_ptr<OtReceiver> make_ot_receiver(OtBackend backend, Transport& tx, B
   if (backend == OtBackend::Precomp) {
     return make_precomp_ot_receiver(tx, seed, warm_pool, pool_target);
   }
-  if (backend == OtBackend::Iknp) {
-    return std::make_unique<IknpOtReceiver>(tx, seed, warm);
-  }
-  return std::make_unique<IdealOtReceiver>(tx);
+  return std::make_unique<IknpOtReceiver>(tx, seed, warm);
 }
 
 }  // namespace arm2gc::gc

@@ -1,9 +1,7 @@
 // Oblivious transfer for Bob's input labels: batched 1-out-of-2 OT endpoints
-// behind the gc::Transport, selectable between two backends.
+// behind the gc::Transport, selectable between two real protocols. Neither
+// ever puts both of a pair's labels on the wire.
 //
-//   OtBackend::Ideal   the ideal-functionality stand-in (both labels travel
-//                      as real frames and the receiver picks locally) — the
-//                      protocol the repo used through PR 3, now batched.
 //   OtBackend::Iknp    real semi-honest IKNP'03 OT extension: kappa = 128
 //                      base OTs bootstrap per-column PRG streams; each batch
 //                      of m choices costs the receiver one masked kappa x m
@@ -22,11 +20,14 @@
 //                      ~192 B IKNP floor to 32 B of masked pads plus an
 //                      amortized correction-bit block.
 //
-// Both backends deliver exactly x0 ^ b*R for choice b, so everything above
+// Both deliver exactly x0 ^ b*R for choice b, so everything above
 // this interface — labels, garbled tables, outputs — is bit-identical across
 // backends; only OT traffic and timing differ. All OT bytes are real framed
 // blocks on the transport (accounted under Traffic::Ot); nothing is priced
-// by constant any more.
+// by constant any more. Iknp is the default: it moves fewer bytes for one
+// cold run (16,432 OT bytes for Hamming-160's 256 choices, base phase
+// included), while Precomp moves fewer online (8,240) once its 53,296
+// offline bytes are banked in a warm session.
 //
 // Message flow per batch (receiver first, matching the lock-step schedule):
 //   receiver request():  [header]  [base: sid + seed pairs, first batch only]
@@ -42,10 +43,12 @@
 // fail loudly instead of silently delivering wrong labels.
 //
 // Honesty notes (what a real deployment must change):
-//  - The kappa base OTs ride the same in-process receiver-picks wiring as
-//    the Ideal backend; a deployment swaps a Chou-Orlandi-style base OT in
-//    here. The extension layer on top — where the per-input cost and the
-//    semi-honest security structure live — is the real protocol.
+//  - The kappa base OTs are a stand-in: the receiver sends both seeds of
+//    each pair and the sender keeps the one its secret bit selects, so the
+//    sender sees all 2*kappa base seeds. A deployment swaps a
+//    Chou-Orlandi-style base OT in here. The extension layer on top — where
+//    the per-input cost and the semi-honest security structure live — is
+//    the real protocol.
 //  - Determinism trumps secrecy in this reproduction: the driver seeds BOTH
 //    parties' randomness from the one public RunOptions seed (exactly as it
 //    does the garbler's secret offset R), so a party holding that seed could
@@ -75,12 +78,13 @@ inline constexpr std::size_t kOtKappa = 128;
 /// it); PartyOptions/ExecOptions carry it as `ot_pool`.
 inline constexpr std::size_t kDefaultOtPoolBatch = 1024;
 
-enum class OtBackend : std::uint8_t { Ideal, Iknp, Precomp };
+/// Byte values are the Hello's `ot_backend` wire encoding; 0 is retired.
+enum class OtBackend : std::uint8_t { Iknp = 1, Precomp = 2 };
 
 /// Counters every OT endpoint keeps; surfaced through RunStats and the
 /// bench OT-phase rows. `wall_ns`/`online_bytes` cover the online critical
 /// path only; pool precomputation and refills land in `offline_wall_ns`
-/// (always zero for Ideal/Iknp, whose every byte is online).
+/// (always zero for Iknp, whose every byte is online).
 struct OtPhaseStats {
   std::uint64_t choices = 0;          ///< OTs completed (online choices served)
   std::uint64_t batches = 0;          ///< non-empty online batches flushed
@@ -186,8 +190,8 @@ class RandomOtPoolReceiver;
 /// phase, then flush() runs the batch in queue order. flush() on an empty
 /// queue is free and exchanges nothing. maintain() is the idle-time hook the
 /// stepwise schedule calls between cycles: backends with offline work (pool
-/// refills) top up there, off the per-batch critical path; for Ideal/Iknp it
-/// is a no-op. Both parties must call their maintain hooks at the same
+/// refills) top up there, off the per-batch critical path; for Iknp it is a
+/// no-op. Both parties must call their maintain hooks at the same
 /// schedule points — the decision to refill is derived deterministically
 /// from the shared pool fill level, not announced on the wire.
 class OtSender {
@@ -209,7 +213,7 @@ class OtSender {
 /// run before the peer's flush() in a lock-step schedule; finish() reads the
 /// response and fills every queued destination. maintain_request()/
 /// maintain_finish() bracket the sender's maintain() exactly as request()/
-/// finish() bracket flush(); no-ops for Ideal/Iknp.
+/// finish() bracket flush(); no-ops for Iknp.
 class OtReceiver {
  public:
   virtual ~OtReceiver() = default;
@@ -231,7 +235,6 @@ class OtReceiver {
 /// state derived from `seed`. For Precomp, `warm_pool` supplies the
 /// cross-run random-OT pool (which owns its own IKNP state; `warm` is
 /// ignored) and `pool_target` sizes a fresh pool when `warm_pool` is null.
-/// Ideal ignores everything but `tx`.
 std::unique_ptr<OtSender> make_ot_sender(OtBackend backend, Transport& tx, crypto::Block seed,
                                          IknpSenderState* warm,
                                          RandomOtPoolSender* warm_pool = nullptr,

@@ -15,13 +15,12 @@
 //                    garbler service and the two-thread tests run on it.
 //
 // Traffic::Ot frames are produced by the selectable OT backend (gc/otext.h):
-// under OtBackend::Iknp they are a real extension protocol's messages (base
-// seeds, masked columns, hashed ciphertexts) — shippable verbatim once each
-// party seeds its randomness privately (the in-process driver seeds both
-// sides from the one public protocol seed for reproducibility; see the
-// honesty notes in gc/otext.h). Under the OtBackend::Ideal stand-in they
-// are the ideal functionality's in-process wiring (both labels travel, the
-// receiver picks) and a deployment must select the real backend instead.
+// under OtBackend::Iknp and OtBackend::Precomp they are a real extension
+// protocol's messages (base seeds, masked columns, hashed ciphertexts,
+// derandomization pads) — shippable verbatim once each party seeds its
+// randomness privately and the base OTs are swapped for a real protocol
+// (the in-process driver seeds both sides from the one public protocol
+// seed for reproducibility; see the honesty notes in gc/otext.h).
 // Everything above this interface is transport-agnostic either way.
 #pragma once
 

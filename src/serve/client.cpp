@@ -1,6 +1,7 @@
 #include "serve/client.h"
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gc/transport_socket.h"
@@ -67,6 +68,12 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   sock->recv_control(&s, sizeof s);
   if (s.magic != kSummaryMagic) {
     throw std::runtime_error("serve: malformed service wrap-up (desynced stream?)");
+  }
+  // A peer-chosen size: check it before it sizes any allocation.
+  if (s.out_bits != nl.outputs.size()) {
+    throw std::runtime_error("serve: service wrap-up claims " + std::to_string(s.out_bits) +
+                             " output bits; the netlist has " +
+                             std::to_string(nl.outputs.size()));
   }
   netlist::BitVec outputs(s.out_bits, false);
   if (s.out_bits != 0) {

@@ -37,7 +37,7 @@ class ServiceRejected : public std::runtime_error {
 
 struct ClientOptions {
   std::string program;
-  gc::OtBackend ot_backend = gc::OtBackend::Ideal;
+  gc::OtBackend ot_backend = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   /// Cycle schedule; must match the service's registered spec (the hello
   /// cross-checks fixed_cycles/max_cycles, and halt_wire divergence is

@@ -228,9 +228,10 @@ struct GarblerService::Impl {
       // allocated before the client sends anything else, so it is bounded.
       bool reserved_clear = h.reserved0 == 0;
       for (const std::uint8_t b : h.reserved) reserved_clear = reserved_clear && b == 0;
-      if (!reserved_clear ||
-          h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp) ||
-          h.ot_pool == 0 || h.ot_pool > kMaxOtPool) {
+      const bool known_backend =
+          h.ot_backend == static_cast<std::uint8_t>(gc::OtBackend::Iknp) ||
+          h.ot_backend == static_cast<std::uint8_t>(gc::OtBackend::Precomp);
+      if (!reserved_clear || !known_backend || h.ot_pool == 0 || h.ot_pool > kMaxOtPool) {
         return HelloStatus::OptionMismatch;
       }
       // The cycle schedule and the public seed are part of the registered
@@ -315,10 +316,8 @@ struct GarblerService::Impl {
           }
           case Phase::Start: {
             // The start-phase OT batch (fixed Bob bits) opens with
-            // receiver-first frames under the extension backends; Ideal
-            // recvs nothing.
-            const bool parks =
-                facts.bob_fixed && popts.ot_backend != gc::OtBackend::Ideal;
+            // receiver-first frames under both OT backends.
+            const bool parks = facts.bob_fixed;
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->start(spec->alice_bits, spec->pub_bits, spec->streams);
@@ -327,8 +326,7 @@ struct GarblerService::Impl {
             break;
           }
           case Phase::Begin: {
-            const bool parks =
-                facts.bob_streamed && popts.ot_backend != gc::OtBackend::Ideal;
+            const bool parks = facts.bob_streamed;
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->begin(cycle);

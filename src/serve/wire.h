@@ -34,7 +34,7 @@ enum class HelloStatus : std::uint32_t {
   BadVersion = 2,      ///< client/service wire versions differ
   UnknownProgram = 3,  ///< no ProgramSpec registered under that name
   Busy = 4,            ///< max_clients connections already active
-  OptionMismatch = 5,  ///< schedule/seed fields disagree with the spec
+  OptionMismatch = 5,  ///< schedule/seed disagree with the spec, or bad OT fields
 };
 
 [[nodiscard]] constexpr const char* hello_status_name(HelloStatus s) {
@@ -61,7 +61,7 @@ struct HelloRequest {
   std::uint32_t version = kWireVersion;
   std::uint32_t name_len = 0;
   std::uint8_t reserved0 = 0;     ///< must be 0 (was the scheme byte; 0 = half-gates)
-  std::uint8_t ot_backend = 0;    ///< gc::OtBackend
+  std::uint8_t ot_backend = 1;    ///< gc::OtBackend (1 Iknp, 2 Precomp; else rejected)
   std::uint8_t reserved[6] = {};  ///< must be 0
   std::uint64_t ot_pool = 0;      ///< in [1, kMaxOtPool]
   std::uint64_t fixed_cycles = 0;  ///< 0 = halt-driven under max_cycles

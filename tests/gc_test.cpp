@@ -3,7 +3,6 @@
 #include "crypto/block.h"
 #include "gc/garble.h"
 #include "gc/golden_digest.h"
-#include "gc/otext.h"
 #include "gc/transport.h"
 #include "netlist/gate.h"
 
@@ -103,30 +102,6 @@ TEST(Transport, AccountsTrafficClassesBothDirections) {
   EXPECT_EQ(alice.recv(), block_from_u64(4));
   EXPECT_THROW(bob.recv(), std::runtime_error);
   EXPECT_THROW(alice.recv(), std::runtime_error);
-}
-
-TEST(Ot, IdealBackendDeliversChosenLabelsAndAccountsFramedBytes) {
-  InMemoryDuplex duplex;
-  const Block seed = block_from_u64(123);
-  auto sender = make_ot_sender(OtBackend::Ideal, duplex.garbler_end(), seed, nullptr);
-  auto receiver = make_ot_receiver(OtBackend::Ideal, duplex.evaluator_end(), seed, nullptr);
-  const Block x0 = block_from_u64(10);
-  const Block x1 = block_from_u64(11);
-  Block got0{}, got1{};
-  receiver->enqueue(false, &got0);
-  receiver->enqueue(true, &got1);
-  receiver->request();
-  sender->enqueue(x0, x1);
-  sender->enqueue(x0, x1);
-  sender->flush();
-  receiver->finish();
-  EXPECT_EQ(got0, x0);
-  EXPECT_EQ(got1, x1);
-  // The ideal stand-in ships the pair: exactly 32 framed bytes per choice
-  // (the constant the accounting used to assume, now an actual frame size).
-  EXPECT_EQ(duplex.stats().ot_bytes, 2u * 32u);
-  EXPECT_EQ(sender->stats().choices, 2u);
-  EXPECT_EQ(receiver->stats().batches, 1u);
 }
 
 // Pins the exact garbled-table bytes produced by the pre-AES-NI seed

@@ -1,5 +1,5 @@
-// Differential OT harness: the IKNP extension backend must be a perfect
-// drop-in for the ideal-functionality stand-in. Pinned here:
+// Differential OT harness: the IKNP extension and the Precomp pool on top of
+// it must deliver exactly the chosen labels. Pinned here:
 //   - the 128xN bit transpose (SSE vs portable vs naive, ragged N included);
 //   - endpoint-level correctness: received labels equal x0 ^ b*R for every
 //     index, over both the lock-step in-memory duplex and a socketpair,
@@ -291,24 +291,18 @@ TEST(OtExt, DriverOtBytesAreTrueFramedBytes) {
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{(c & 1) != 0}; };
   streams.bob = [](std::uint64_t c) { return netlist::BitVec{(c & 2) != 0}; };
-  core::RunOptions opts;
-  opts.fixed_cycles = 8;
-
-  const core::RunResult ideal = core::SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
-  // Ideal stand-in: the label pair travels — 32 bytes per choice, framed.
-  EXPECT_EQ(ideal.stats.comm.ot_bytes, 32u * ideal.stats.ot_choices);
-  EXPECT_EQ(ideal.stats.ot_choices, 8u);
-
-  core::RunOptions iknp = opts;
+  core::RunOptions iknp;
+  iknp.fixed_cycles = 8;
   iknp.exec.ot_backend = gc::OtBackend::Iknp;
   const core::RunResult real = core::SkipGateDriver(nl, iknp).run({}, {}, {}, &streams);
   // One streamed Bob bit per cycle: 8 batches of m=1 plus the base phase.
   EXPECT_EQ(real.stats.comm.ot_bytes, iknp_bytes({1, 1, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(real.stats.ot_choices, 8u);
   EXPECT_EQ(real.stats.ot_batches, 8u);
   EXPECT_EQ(real.stats.ot_base_ots, gc::kOtKappa);
 }
 
-// --- full-driver differential: Ideal vs IKNP ------------------------------------
+// --- full-driver differential: IKNP vs Precomp ----------------------------------
 
 /// Everything except OT traffic must be bit-identical across backends: the
 /// labels, tables and outputs cannot depend on how Bob's labels traveled.
@@ -392,17 +386,18 @@ TEST(OtExt, BackendsBitIdenticalAcrossModesAndTransports) {
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
       for (const bool over_socketpair : {false, true}) {
-        core::RunOptions ideal;
-        ideal.mode = mode;
-        ideal.fixed_cycles = 7;
-        core::RunOptions iknp = ideal;
+        core::RunOptions iknp;
+        iknp.mode = mode;
+        iknp.fixed_cycles = 7;
         iknp.exec.ot_backend = gc::OtBackend::Iknp;
+        core::RunOptions precomp = iknp;
+        precomp.exec.ot_backend = gc::OtBackend::Precomp;
 
-        const core::RunResult ri =
-            a2gtest::two_party_run(over_socketpair, nl, ideal, a, b, p, &streams);
+        const core::RunResult rp =
+            a2gtest::two_party_run(over_socketpair, nl, precomp, a, b, p, &streams);
         const core::RunResult rk =
             a2gtest::two_party_run(over_socketpair, nl, iknp, a, b, p, &streams);
-        expect_same_protocol(ri, rk);
+        expect_same_protocol(rp, rk);
         EXPECT_EQ(rk.stats.ot_base_ots, rk.stats.ot_choices > 0 ? gc::kOtKappa : 0u)
             << "seed " << seed;
       }
@@ -419,18 +414,15 @@ TEST(OtExt, GoldenTableDigestStableAcrossBackends) {
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{((0xDEADBEEFu >> c) & 1u) != 0}; };
   streams.bob = [](std::uint64_t c) { return netlist::BitVec{((0x12345679u >> c) & 1u) != 0}; };
-  core::RunOptions opts;
-  opts.fixed_cycles = 32;
-  core::RunOptions iknp = opts;
+  core::RunOptions iknp;
+  iknp.fixed_cycles = 32;
   iknp.exec.ot_backend = gc::OtBackend::Iknp;
-  core::RunOptions precomp = opts;
+  core::RunOptions precomp = iknp;
   precomp.exec.ot_backend = gc::OtBackend::Precomp;
-  const core::RunResult ri = core::SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
   const core::RunResult rk = core::SkipGateDriver(nl, iknp).run({}, {}, {}, &streams);
   const core::RunResult rp = core::SkipGateDriver(nl, precomp).run({}, {}, {}, &streams);
-  EXPECT_TRUE(ri.stats.table_digest == rk.stats.table_digest);
-  EXPECT_TRUE(ri.stats.table_digest == rp.stats.table_digest);
-  EXPECT_EQ(ri.stats.table_digest.hex(), "92477f01bb42fa1f82f25714ba48d798");
+  EXPECT_TRUE(rk.stats.table_digest == rp.stats.table_digest);
+  EXPECT_EQ(rk.stats.table_digest.hex(), "92477f01bb42fa1f82f25714ba48d798");
 }
 
 TEST(OtExt, ArmRunsIdenticalAndSessionAmortizesBaseOts) {
@@ -446,13 +438,14 @@ TEST(OtExt, ArmRunsIdenticalAndSessionAmortizesBaseOts) {
   cfg.ram_words = 16;
   const arm::Arm2Gc machine(cfg, prog);
 
-  core::ExecOptions ideal;
   core::ExecOptions iknp;
   iknp.ot_backend = gc::OtBackend::Iknp;
+  core::ExecOptions precomp;
+  precomp.ot_backend = gc::OtBackend::Precomp;
   const std::vector<std::uint32_t> alice = {41};
   const std::vector<std::uint32_t> bob = {59};
   const arm::Arm2GcResult ri =
-      machine.run(alice, bob, 1u << 20, gc::Scheme::HalfGates, ideal);
+      machine.run(alice, bob, 1u << 20, gc::Scheme::HalfGates, precomp);
   const arm::Arm2GcResult rk =
       machine.run(alice, bob, 1u << 20, gc::Scheme::HalfGates, iknp);
   EXPECT_EQ(ri.outputs[0], 100u);

@@ -157,8 +157,7 @@ TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const gc::OtBackend ot :
-           {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+      for (const gc::OtBackend ot : {gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
         core::RunOptions opts;
         opts.mode = mode;
         opts.fixed_cycles = 6;

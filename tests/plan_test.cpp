@@ -235,12 +235,16 @@ TEST(PlanCache, SharedCacheWarmAcrossRuns) {
   crypto::CtrRng rng(crypto::block_from_u64(99991));
   const netlist::Netlist nl = random_seq_netlist(rng);
   const netlist::BitVec p = to_bits(rng.next_u64(), 4);
-  // Role-scoped warm state (first-sight cache admission: built for reuse).
+  // Role-scoped warm states (first-sight cache admission: built for reuse).
+  // The evaluator's is needed too: the garbler's IKNP state stays based
+  // across runs, so its receiver-side pair must as well.
   core::WarmState warm(core::Role::Garbler);
+  core::WarmState ewarm(core::Role::Evaluator);
 
   core::RunOptions opts;
   opts.fixed_cycles = 8;
   opts.exec.garbler_warm = &warm;
+  opts.exec.evaluator_warm = &ewarm;
 
   netlist::BitVec first_outputs;
   for (int run = 0; run < 3; ++run) {
@@ -250,6 +254,7 @@ TEST(PlanCache, SharedCacheWarmAcrossRuns) {
 
     core::RunOptions fresh = opts;
     fresh.exec.garbler_warm = nullptr;
+    fresh.exec.evaluator_warm = nullptr;
     fresh.exec.plan_cache = false;
     const core::RunResult expect = core::SkipGateDriver(nl, fresh).run(a, b, p);
     EXPECT_EQ(r.sampled_outputs, expect.sampled_outputs);
@@ -328,9 +333,10 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
   cfg.ram_words = 16;
   const arm::Arm2Gc machine(cfg, prog);
 
-  // Full-budget reference for the protocol-shape invariants.
-  const arm::Arm2GcResult ref =
-      machine.run(std::vector<std::uint32_t>{100}, std::vector<std::uint32_t>{0});
+  // Full-budget reference session for the protocol-shape invariants: its
+  // IKNP state warms in step with the session under test (base OTs on the
+  // first run only), so per-run OT bytes match too.
+  arm::Arm2Gc::Session ref_session(machine);
 
   core::WarmState::Options tiny;
   tiny.plan_cache_budget_bytes = 1;  // capacity floor: 4 entries
@@ -343,8 +349,10 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
 
   std::vector<double> hit_ratios;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const arm::Arm2GcResult r =
-        session.run(std::vector<std::uint32_t>{100 + i}, std::vector<std::uint32_t>{7 * i});
+    const std::vector<std::uint32_t> alice{100 + i};
+    const std::vector<std::uint32_t> bob{7 * i};
+    const arm::Arm2GcResult r = session.run(alice, bob);
+    const arm::Arm2GcResult ref = ref_session.run(alice, bob);
     EXPECT_EQ(r.outputs[0], 100 + i + 7 * i) << "run " << i;
     EXPECT_EQ(r.cycles, ref.cycles) << "run " << i;
     EXPECT_EQ(r.stats.garbled_non_xor, ref.stats.garbled_non_xor) << "run " << i;

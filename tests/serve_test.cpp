@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <stdexcept>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -172,8 +173,7 @@ TEST(GarblerService, DifferentialAcrossBackends) {
   const netlist::BitVec b = to_bits(55, 8);
   constexpr std::size_t kPool = 16;
 
-  for (const gc::OtBackend ot :
-       {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+  for (const gc::OtBackend ot : {gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
     const core::RunResult ref = adder_reference(nl, ot, kPool, a, b);
     EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
 
@@ -204,7 +204,7 @@ TEST(GarblerService, RejectsThreadCountsOtherThanOne) {
     so.exec_threads = threads;
     EXPECT_THROW(serve::GarblerService({adder_spec(nl, a)}, so), std::invalid_argument);
 
-    serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+    serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
     co.threads = threads;
     // Rejected before any connection attempt: port 1 is never dialled.
     EXPECT_THROW((void)serve::run_client("127.0.0.1", 1, nl, co, a), std::invalid_argument);
@@ -295,8 +295,8 @@ TEST(GarblerService, SequentialChurnNoFdLeakAndWarmHits) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(7, 8);
   const netlist::BitVec b = to_bits(35, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
 
   // Warmup lifecycle absorbs lazily created process-wide fds, so the leak
   // check below is an exact equality.
@@ -341,8 +341,8 @@ TEST(GarblerService, ConcurrentChurn) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(90, 8);
   const netlist::BitVec b = to_bits(9, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
 
   serve::ServiceOptions so;
   so.shards = 2;
@@ -392,7 +392,7 @@ TEST(GarblerService, BusyAtCapacityThenSlotFrees) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(1, 8);
   const netlist::BitVec b = to_bits(2, 8);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
 
   serve::ServiceOptions so;
   so.max_clients = 1;
@@ -423,7 +423,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
   serve::GarblerService service({adder_spec(nl, to_bits(1, 8))}, serve::ServiceOptions{});
   service.start();
 
-  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
   co.program = "no-such-program";
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -432,7 +432,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
     EXPECT_EQ(e.status(), serve::HelloStatus::UnknownProgram);
   }
 
-  co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  co = adder_client_opts(gc::OtBackend::Iknp, 16);
   co.fixed_cycles = 2;  // spec says 1
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -474,6 +474,13 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
             serve::HelloStatus::OptionMismatch);
   EXPECT_EQ(raw_hello([](serve::HelloRequest& h) { h.reserved[5] = 0x80; }),
             serve::HelloStatus::OptionMismatch);
+  // Only the two real OT backends are served: 0 (the retired stand-in that
+  // sent both labels) and any byte past Precomp are turned away.
+  for (const std::uint8_t ot : {std::uint8_t{0}, std::uint8_t{3}}) {
+    EXPECT_EQ(raw_hello([ot](serve::HelloRequest& h) { h.ot_backend = ot; }),
+              serve::HelloStatus::OptionMismatch)
+        << "ot_backend " << int{ot};
+  }
 
   // A non-client peer: 64 zero bytes where the hello should be.
   {
@@ -488,15 +495,63 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
   // None of the rejections leaves the service worse off: a clean client
   // still gets the reference result.
   const core::RunResult ref =
-      adder_reference(nl, gc::OtBackend::Ideal, 16, to_bits(1, 8), to_bits(2, 8));
+      adder_reference(nl, gc::OtBackend::Iknp, 16, to_bits(1, 8), to_bits(2, 8));
   expect_matches_reference(serve::run_client("127.0.0.1", service.port(), nl,
-                                             adder_client_opts(gc::OtBackend::Ideal, 16),
+                                             adder_client_opts(gc::OtBackend::Iknp, 16),
                                              to_bits(2, 8)),
                            ref);
 
   service.stop();
-  EXPECT_EQ(service.stats().hello_rejected, 7u);
+  EXPECT_EQ(service.stats().hello_rejected, 9u);
   EXPECT_EQ(service.stats().runs_ok, 1u);
+}
+
+/// A service that runs the protocol honestly but forges its wrap-up's
+/// `out_bits` must not make the client allocate a peer-chosen size: the
+/// client checks it against the netlist first and throws.
+TEST(GarblerService, ClientRejectsForgedOutputBitCount) {
+  const netlist::Netlist nl = adder_netlist();
+  const netlist::BitVec a = to_bits(3, 8);
+  const netlist::BitVec b = to_bits(4, 8);
+  gc::SocketListener listener("127.0.0.1", 0);
+  std::exception_ptr ferr;
+  std::thread fake([&] {
+    try {
+      auto sock = listener.accept();
+      serve::HelloRequest h;
+      sock->recv_control(&h, sizeof h);
+      std::string name(h.name_len, '\0');
+      sock->recv_control(name.data(), name.size());
+      const serve::HelloReply ok;
+      sock->send_control(&ok, sizeof ok);
+      core::GarblerEndpoint ep(nl, adder_spec_opts(), sock->end());
+      const core::RunResult r = ep.run(a);
+      serve::RunSummary s;
+      s.cycles = r.stats.cycles;
+      s.final_cycle = r.final_cycle;
+      s.garbled_non_xor = r.stats.garbled_non_xor;
+      r.stats.table_digest.to_bytes(s.table_digest);
+      s.out_bits = 1ull << 40;
+      sock->send_control(&s, sizeof s);
+    } catch (...) {
+      ferr = std::current_exception();
+    }
+  });
+  bool runtime_error = false;
+  std::string error;
+  try {
+    (void)serve::run_client("127.0.0.1", listener.port(), nl,
+                            adder_client_opts(gc::OtBackend::Iknp, 16), b);
+  } catch (const std::runtime_error& e) {
+    runtime_error = true;
+    error = e.what();
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  fake.join();
+  if (ferr) std::rethrow_exception(ferr);
+  EXPECT_TRUE(runtime_error) << "expected a std::runtime_error; got: " << error;
+  EXPECT_NE(error.find("output bits"), std::string::npos) << error;
 }
 
 /// A client dying mid-protocol — right after the hello, or after pushing a

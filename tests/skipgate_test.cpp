@@ -443,17 +443,33 @@ TEST(SkipGateTransport, SocketPairMatchesInMemoryRandomCircuits) {
 
 TEST(SkipGateTransport, LongRunKeepsTransportMemoryBounded) {
   // 4096 cycles of the serial adder move ~4096 garbled tables plus OT and
-  // output traffic; the in-memory FIFOs self-compact, so the transport never
-  // buffers more than one cycle's frames.
+  // output traffic; the in-memory FIFOs self-compact, so once the IKNP base
+  // phase has run (warm states) the transport never buffers more than one
+  // cycle's frames. The cold run additionally holds the receiver's first OT
+  // batch: header, sid + 2*kappa base seeds, check block and kappa one-byte
+  // columns (one streamed Bob bit per cycle).
   const netlist::Netlist nl = make_serial_adder();
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{(c & 1) != 0}; };
   streams.bob = [](std::uint64_t c) { return netlist::BitVec{(c & 3) == 2}; };
+  core::WarmState gwarm(core::Role::Garbler);
+  core::WarmState ewarm(core::Role::Evaluator);
   RunOptions opts;
   opts.fixed_cycles = 4096;
-  const RunResult mem = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
-  EXPECT_GT(mem.stats.comm.total(), 4096u * 32);
-  EXPECT_LE(mem.stats.transport_high_water_blocks, 16u);
+  opts.exec.ot_backend = gc::OtBackend::Iknp;
+  opts.exec.garbler_warm = &gwarm;
+  opts.exec.evaluator_warm = &ewarm;
+  constexpr std::uint64_t kBaseFrameBlocks = 1 + (1 + 2 * gc::kOtKappa) + 1 + gc::kOtKappa / 16;
+
+  const RunResult cold = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
+  EXPECT_EQ(cold.stats.ot_base_ots, gc::kOtKappa);
+  EXPECT_GT(cold.stats.comm.total(), 4096u * 32);
+  EXPECT_LE(cold.stats.transport_high_water_blocks, kBaseFrameBlocks + 16);
+
+  const RunResult warm = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
+  EXPECT_EQ(warm.stats.ot_base_ots, 0u);
+  EXPECT_GT(warm.stats.comm.total(), 4096u * 32);
+  EXPECT_LE(warm.stats.transport_high_water_blocks, 16u);
 }
 
 TEST(SkipGate, HalfGatesTablesAreTwoBlocks) {

@@ -71,7 +71,7 @@ struct Args {
                "  --input w,w,...               this party's private words\n"
                "  --alice w,... --bob w,...     local-role inputs\n"
                "  [--max-cycles N]\n"
-               "  [--ot ideal|iknp|precomp]     precomp banks random OTs off the online\n"
+               "  [--ot iknp|precomp]           precomp banks random OTs off the online\n"
                "                                path and derandomizes online choices\n"
                "  [--ot-pool N]                 precomp refill target in random OTs\n"
                "                                (public; must match the peer)\n"
@@ -134,9 +134,7 @@ Args parse_args(int argc, char** argv) {
       a.max_cycles = kFlags.uint(f, next(i));
     } else if (f == "--ot") {
       const std::string v = next(i);
-      if (v == "ideal") {
-        a.ot = gc::OtBackend::Ideal;
-      } else if (v == "iknp") {
+      if (v == "iknp") {
         a.ot = gc::OtBackend::Iknp;
       } else if (v == "precomp") {
         a.ot = gc::OtBackend::Precomp;
@@ -240,11 +238,20 @@ void send_summary(gc::SocketDuplex& sock, const arm::Arm2GcResult& r,
   }
 }
 
-WireSummary recv_summary(gc::SocketDuplex& sock, std::vector<std::uint32_t>& outputs) {
+/// `expected_words` is what the peer's role sends: 0 from an evaluator, the
+/// program's output words from a garbler. The peer-chosen count is checked
+/// before it sizes any allocation.
+WireSummary recv_summary(gc::SocketDuplex& sock, std::size_t expected_words,
+                         std::vector<std::uint32_t>& outputs) {
   WireSummary w;
   sock.recv_control(&w, sizeof w);
   if (w.magic != WireSummary{}.magic) {
     throw std::runtime_error("arm2gc_party: malformed wrap-up summary (desynced stream?)");
+  }
+  if (w.out_count != expected_words) {
+    throw std::runtime_error("arm2gc_party: peer wrap-up claims " +
+                             std::to_string(w.out_count) + " output words; expected " +
+                             std::to_string(expected_words));
   }
   outputs.resize(w.out_count);
   if (w.out_count != 0) {
@@ -316,9 +323,9 @@ int run_party(const Args& a, const programs::Program& prog) {
   std::vector<std::uint32_t> peer_outputs;
   if (is_garbler) {
     send_summary(*sock, r, own_sent, outputs);
-    peer = recv_summary(*sock, peer_outputs);
+    peer = recv_summary(*sock, 0, peer_outputs);
   } else {
-    peer = recv_summary(*sock, peer_outputs);
+    peer = recv_summary(*sock, prog.cfg.out_words, peer_outputs);
     send_summary(*sock, r, own_sent, outputs);
     outputs = peer_outputs;  // Bob learns the result from Alice's wrap-up
   }

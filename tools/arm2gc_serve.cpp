@@ -76,7 +76,7 @@ struct Args {
                "          [--warm-pool N] [--exit-after-runs N]\n"
                "          [--metrics-port N] [--metrics-host H] [--stats-interval-ms N]\n"
                "  client: --connect host:port --program <builtin> --input w,w,...\n"
-               "          [--ot ideal|iknp|precomp] [--ot-pool N] [--runs N]\n"
+               "          [--ot iknp|precomp] [--ot-pool N] [--runs N]\n"
                "  common: [--max-cycles N] [--json <path>] [--trace <path>]\n");
   std::exit(2);
 }
@@ -134,9 +134,7 @@ Args parse_args(int argc, char** argv) {
       if (a.ot_pool == 0) usage("--ot-pool must be nonzero");
     } else if (f == "--ot") {
       const std::string v = next(i);
-      if (v == "ideal") {
-        a.ot = gc::OtBackend::Ideal;
-      } else if (v == "iknp") {
+      if (v == "iknp") {
         a.ot = gc::OtBackend::Iknp;
       } else if (v == "precomp") {
         a.ot = gc::OtBackend::Precomp;
